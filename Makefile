@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet fmt lint lint-baseline build test race race-parallel bench bench-fastpath bench-abuse bench-fleet fastpath-smoke smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
+.PHONY: check vet fmt lint lint-baseline build test race race-parallel bench-check fastpath-smoke smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
 
-check: vet fmt build lint test smoke fastpath-smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
+check: vet fmt build lint test bench-check smoke fastpath-smoke chaos gateway-chaos lifecycle-chaos abuse-chaos fleet-chaos fuzz
 
 vet:
 	$(GO) vet ./...
@@ -54,19 +54,13 @@ race-parallel:
 	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/ ./internal/resilience/ ./internal/admission/ ./internal/fleet/
 	$(GO) test -race -timeout 20m -count=1 -run 'Chaos|Reload|Lifecycle|Canary' ./internal/gateway/ ./internal/lifecycle/
 
-# Sparse-vs-dense, serial-vs-parallel train, and pipeline micro benchmarks
-# (EXPERIMENTS.md numbers), plus the machine-readable lifecycle benchmark
-# (bootstrap/round latencies and gateway replay throughput).
-bench:
-	$(GO) test -run '^$$' -bench 'Featurize|PairwiseDistances|TrainParallel|DenseMatch|SparseMatch|GatewayThroughput' -benchmem .
-	$(GO) run ./cmd/evalharness -experiment lifecycle -out BENCH_lifecycle.json
-
-# The serving fast-path benchmark: Inspect and gateway throughput with the
-# literal prefilter on vs. off, allocations per benign Inspect, and the
-# prefilter census, written to the committed BENCH_fastpath.json (see
-# EXPERIMENTS.md "Serving fast path").
-bench-fastpath:
-	$(GO) run ./cmd/evalharness -experiment fastpath -out BENCH_fastpath.json
+# The repository benchmark (bench/, see BENCHMARK.json) is its own module,
+# so the ./... of vet/build/test above never compiles it, yet it imports
+# internal/ packages and judges every PR. This vets it and runs its tests,
+# including the smoke run that drives a real psigened child on all four
+# workloads.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Fast-path smoke: the bit-identity gates (train/serve/session parity,
 # countMatches-vs-FindAll cross-check, corpus soundness) and the
@@ -119,20 +113,6 @@ abuse-chaos:
 # in seconds with zero wall-clock waits.
 fleet-chaos:
 	$(GO) test -count=1 -run 'FleetChaos|Ring|Failover|Ejection|ReloadTwoPhase|ReloadProbe|ReloadCommit|RollbackFailure' ./internal/fleet/
-
-# The abuse-control benchmark: keyed admission checks under zipfian
-# churn, million-entry denylist lookups, gateway overhead with admission
-# on vs. off, and the deterministic storm outcome tally, written to the
-# committed BENCH_abuse.json (see EXPERIMENTS.md "Abuse control").
-bench-abuse:
-	$(GO) run ./cmd/evalharness -experiment abuse -out BENCH_abuse.json
-
-# The fleet benchmark: front routing overhead vs. a bare gateway, the
-# failover path with a replica down, coordinated-reload fanout time and
-# ring load spread, written to the committed BENCH_fleet.json (see
-# EXPERIMENTS.md "Fleet serving").
-bench-fleet:
-	$(GO) run ./cmd/evalharness -experiment fleet -out BENCH_fleet.json
 
 # Fuzz smoke: a few seconds per httpx parsing target (plus their checked-in
 # crash corpora under testdata/fuzz). `go test -fuzz` accepts one target

@@ -7,30 +7,27 @@
 //	evalharness -experiment figure2 -out heatmap.svg
 //
 // Experiments: table1 table2 table3 table4 table5 table6 figure2 figure3
-// figure4 incremental perdisci perf ablations all. Two extra experiments
-// (not part of "all") write machine-readable JSON reports to -out:
-// "lifecycle" benchmarks the crawl→retrain→validate→canary loop,
-// "fastpath" benchmarks the serving fast path with the literal prefilter
-// on vs. off (BENCH_fastpath.json), "abuse" benchmarks per-client
-// admission control — zipfian keyed checks, million-entry denylist
-// lookups, gateway overhead — plus the deterministic storm outcome
-// (BENCH_abuse.json), and "fleet" benchmarks the multi-replica front —
-// routing overhead, failover path, reload fanout, ring spread
-// (BENCH_fleet.json).
+// figure4 incremental perdisci perf ablations all. Serving and training
+// cost is measured by bench/ (see bench/README.md), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"psigene/internal/experiments"
 	"psigene/internal/profiling"
 	"psigene/internal/report"
 )
+
+// allExperiments is what "-experiment all" runs, in order; any other
+// name is rejected before the environment is trained.
+var allExperiments = []string{"table1", "table2", "table3", "table4", "table5", "table6",
+	"figure2", "figure3", "figure4", "incremental", "perdisci", "perf", "ablations"}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -42,7 +39,7 @@ func main() {
 func run(args []string, w io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("evalharness", flag.ContinueOnError)
 	var (
-		exp        = fs.String("experiment", "all", "which experiment to run (table1..table6, figure2..figure4, incremental, perdisci, perf, ablations, lifecycle, fastpath, abuse, fleet, all)")
+		exp        = fs.String("experiment", "all", "which experiment to run ("+strings.Join(allExperiments, ", ")+", all)")
 		out        = fs.String("out", "", "write figure artifacts (SVG/CSV) to this file")
 		paperScale = fs.Bool("paper-scale", false, "use the paper's full corpus sizes (slow)")
 
@@ -84,7 +81,10 @@ func run(args []string, w io.Writer) (retErr error) {
 	}
 
 	sel := strings.ToLower(*exp)
-	needsEnv := sel != "table1" && sel != "table2" && sel != "table4" && sel != "lifecycle" && sel != "fastpath" && sel != "abuse" && sel != "fleet"
+	if sel != "all" && !slices.Contains(allExperiments, sel) {
+		return fmt.Errorf("unknown experiment %q", sel)
+	}
+	needsEnv := sel != "table1" && sel != "table2" && sel != "table4"
 
 	var env *experiments.Env
 	if needsEnv {
@@ -235,105 +235,6 @@ func run(args []string, w io.Writer) (retErr error) {
 			for sys, x := range experiments.Slowdown(rows) {
 				fmt.Fprintf(w, "pSigene slowdown vs %s: %.1fX\n", sys, x)
 			}
-		case "lifecycle":
-			dir, err := os.MkdirTemp("", "psigene-lifecycle-bench-")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			res, err := experiments.LifecycleBenchmark(dir, scale.Seed, 3)
-			if err != nil {
-				return err
-			}
-			tbl := &report.Table{Title: "Lifecycle benchmark", Headers: []string{"Round", "Action", "Version", "Round ms", "Replay req/s"}}
-			for _, r := range res.Rounds {
-				tbl.AddRow(fmt.Sprint(r.Round), r.Action, r.Version, report.F(r.RoundMillis, 1), report.F(r.ReplayRPS, 0))
-			}
-			fmt.Fprintf(w, "bootstrap: %s, %d signatures in %.1fms; serving %s after %d rounds\n",
-				"v000001", res.Signatures, res.BootstrapMillis, res.ServingVersion, len(res.Rounds))
-			tbl.Render(w)
-			if *out != "" {
-				blob, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "JSON written to %s\n", *out)
-			}
-		case "fastpath":
-			res, err := experiments.FastpathBenchmark(scale.Seed)
-			if err != nil {
-				return err
-			}
-			tbl := &report.Table{Title: "Fast-path benchmark", Headers: []string{"Case", "ns/op", "allocs/op", "B/op", "ops/s"}}
-			for _, c := range res.Cases {
-				tbl.AddRow(c.Name, report.F(c.NsPerOp, 0), fmt.Sprint(c.AllocsPerOp), fmt.Sprint(c.BytesPerOp), report.F(c.OpsPerSec, 0))
-			}
-			tbl.Render(w)
-			fmt.Fprintf(w, "prefilter: %d literals gate %d/%d patterns (%d always-run); %d of %d evaluations skipped\n",
-				res.Prefilter.Literals, res.Prefilter.Gated, res.Prefilter.Gated+res.Prefilter.AlwaysRun,
-				res.Prefilter.AlwaysRun, res.Prefilter.Skipped, res.Prefilter.Skipped+res.Prefilter.Evaluated)
-			fmt.Fprintf(w, "speedup: %.2fx inspect, %.2fx gateway; benign inspect %d allocs/op\n",
-				res.InspectSpeedup, res.GatewaySpeedup, res.BenignAllocsPerOp)
-			if *out != "" {
-				blob, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "JSON written to %s\n", *out)
-			}
-		case "abuse":
-			res, err := experiments.AbuseBenchmark(scale.Seed)
-			if err != nil {
-				return err
-			}
-			tbl := &report.Table{Title: "Abuse-control benchmark", Headers: []string{"Case", "ns/op", "allocs/op", "B/op", "ops/s"}}
-			for _, c := range res.Cases {
-				tbl.AddRow(c.Name, report.F(c.NsPerOp, 0), fmt.Sprint(c.AllocsPerOp), fmt.Sprint(c.BytesPerOp), report.F(c.OpsPerSec, 0))
-			}
-			tbl.Render(w)
-			fmt.Fprintf(w, "denylist: %d entries built in %.0fms; gateway overhead with admission on: %.1f%%\n",
-				res.DenylistEntries, res.DenylistBuildMillis, res.GatewayOverheadPct)
-			st := res.Storm
-			fmt.Fprintf(w, "storm: hot caller %d allowed / %d limited / %d boxed (%d strikes); %d benign callers %d allowed, %d shed\n",
-				st.HotAllowed, st.HotLimited, st.HotBoxed, st.HotStrikes, st.BenignCallers, st.BenignAllowed, st.BenignShed)
-			if *out != "" {
-				blob, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "JSON written to %s\n", *out)
-			}
-		case "fleet":
-			res, err := experiments.FleetBenchmark(scale.Seed)
-			if err != nil {
-				return err
-			}
-			tbl := &report.Table{Title: "Fleet benchmark", Headers: []string{"Case", "ns/op", "allocs/op", "B/op", "ops/s"}}
-			for _, c := range res.Cases {
-				tbl.AddRow(c.Name, report.F(c.NsPerOp, 0), fmt.Sprint(c.AllocsPerOp), fmt.Sprint(c.BytesPerOp), report.F(c.OpsPerSec, 0))
-			}
-			tbl.Render(w)
-			fmt.Fprintf(w, "front overhead: %.1f%%; failover penalty (1/%d down): %.1f%%; reload fanout %.1fms over %d rounds; spread %v\n",
-				res.FrontOverheadPct, res.Replicas, res.FailoverPenaltyPct, res.ReloadFanoutMillis, res.ReloadRounds, res.Spread)
-			if *out != "" {
-				blob, err := json.MarshalIndent(res, "", "  ")
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
-					return err
-				}
-				fmt.Fprintf(w, "JSON written to %s\n", *out)
-			}
 		case "ablations":
 			tbl := &report.Table{Title: "Ablations", Headers: []string{"Variant", "TPR (SQLmap)", "FPR"}}
 			if r, err := experiments.AblationBinaryFeatures(env); err == nil {
@@ -357,16 +258,13 @@ func run(args []string, w io.Writer) (retErr error) {
 				tbl.AddRow(r.Variant, report.Pct(r.TPR, 2), report.Pct(r.FPR, 4))
 			}
 			tbl.Render(w)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
 		}
 		fmt.Fprintln(w)
 		return nil
 	}
 
 	if sel == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "table4", "table5", "table6",
-			"figure2", "figure3", "figure4", "incremental", "perdisci", "perf", "ablations"} {
+		for _, name := range allExperiments {
 			if err := runOne(name); err != nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

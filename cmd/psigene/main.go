@@ -275,7 +275,7 @@ func runInspect(args []string, w io.Writer) error {
 	if *url == "" {
 		return fmt.Errorf("inspect: -url is required")
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadAny(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -307,7 +307,7 @@ func runEval(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadAny(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -338,7 +338,7 @@ func runExport(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadAny(*modelPath)
 	if err != nil {
 		return err
 	}
@@ -363,7 +363,7 @@ func runTune(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	model, err := core.LoadFile(*modelPath)
+	model, _, err := core.LoadAny(*modelPath)
 	if err != nil {
 		return err
 	}

@@ -127,7 +127,7 @@ func run(args []string, root string, w io.Writer) (int, error) {
 	// lifecycle gate uses (deadsig, plus corpus-driven nevermatch and
 	// subsumed over the model's observed features).
 	if *modelPath != "" {
-		m, err := core.LoadFile(*modelPath)
+		m, _, err := core.LoadAny(*modelPath)
 		if err != nil {
 			return 0, fmt.Errorf("loading model: %w", err)
 		}

@@ -380,22 +380,3 @@ func TestBuildCIDRSetRejectsInvalid(t *testing.T) {
 		t.Fatal("zero prefix must be rejected")
 	}
 }
-
-func BenchmarkCIDRSetContains(b *testing.B) {
-	prefixes := syntheticPrefixes(1_000_000)
-	s, err := BuildCIDRSet(prefixes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := resilience.NewSplitMix64(9)
-	probes := make([]netip.Addr, 1024)
-	for i := range probes {
-		v := rng.Next()
-		probes[i] = netip.AddrFrom4([4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Contains(probes[i%len(probes)])
-	}
-}

@@ -206,10 +206,10 @@ func TestLoadArtifactManifestMismatches(t *testing.T) {
 	})
 }
 
-// TestLoadAnyAndShim pins the compatibility surface: LoadAny handles both
-// a legacy single-file model (synthesizing a file: manifest) and an
-// artifact directory, and core.LoadFile still loads pre-refactor files.
-func TestLoadAnyAndShim(t *testing.T) {
+// TestLoadAny pins the compatibility surface: LoadAny handles both a
+// legacy single-file model (synthesizing a file: manifest) and an
+// artifact directory.
+func TestLoadAny(t *testing.T) {
 	m := smallModel(t)
 	file := filepath.Join(t.TempDir(), "legacy.json")
 	if err := m.SaveFile(file); err != nil {
@@ -234,17 +234,6 @@ func TestLoadAnyAndShim(t *testing.T) {
 	}
 	if dman != man {
 		t.Fatalf("LoadAny(dir) manifest %+v, want %+v", dman, man)
-	}
-
-	shim, err := LoadFile(file)
-	if err != nil {
-		t.Fatalf("LoadFile shim: %v", err)
-	}
-	if shim.Name() != m.Name() {
-		t.Fatalf("shim Name %q, want %q", shim.Name(), m.Name())
-	}
-	if _, err := LoadFile("/nonexistent/dir-or-file"); err == nil {
-		t.Fatal("missing path: want error")
 	}
 }
 

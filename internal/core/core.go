@@ -45,7 +45,7 @@ type Config struct {
 	Train ml.TrainOptions
 	// PruneThreshold is the relative coefficient-importance cutoff for
 	// post-training feature pruning (Table VI's biclustering-vs-signature
-	// feature counts). 0 means 0.05; negative disables pruning.
+	// feature counts). 0 means 0.2; negative disables pruning.
 	PruneThreshold float64
 	// Threshold is the signature decision probability. 0 means 0.5.
 	Threshold float64
@@ -55,8 +55,8 @@ type Config struct {
 	// BenignWeight multiplies the weight of every benign training sample —
 	// cost-sensitive training that makes the logistic signatures demand
 	// co-occurring evidence instead of a single strong feature, keeping the
-	// false-positive rate at the paper's level. 0 means 10; negative
-	// disables the reweighting.
+	// false-positive rate at the paper's level. 0 means 25; negative
+	// disables the reweighting (weight 1).
 	BenignWeight float64
 	// MaxClusterSamples caps the number of unique samples fed to the
 	// quadratic HAC step; the remainder are assigned to the nearest
@@ -589,7 +589,7 @@ func (m *Model) Probabilities(req httpx.Request) []float64 {
 // the payload view, the normalization buffers, and (checked out separately,
 // because it is sized to the model's extractor) the feature scratch. With
 // all three pooled, inspecting a request that raises no alert performs zero
-// heap allocations at steady state — the fast-path benchmarks pin this.
+// heap allocations at steady state — the fast-path allocation tests pin this.
 type scoreScratch struct {
 	payload []byte
 	norm    normalize.Buffer

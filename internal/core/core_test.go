@@ -80,6 +80,27 @@ func TestModelDetectsAttacksAndPassesBenign(t *testing.T) {
 	}
 }
 
+// TestConfigDefaults pins what withDefaults applies. Config's doc comments
+// state the same numbers: change a default here and there together.
+func TestConfigDefaults(t *testing.T) {
+	d := Config{}.withDefaults()
+	for _, c := range []struct {
+		field     string
+		got, want float64
+	}{
+		{"PruneThreshold", d.PruneThreshold, 0.2},
+		{"Threshold", d.Threshold, 0.5},
+		{"BenignWeight", d.BenignWeight, 25},
+		{"BenignWeight from -1", Config{BenignWeight: -1}.withDefaults().BenignWeight, 1},
+		{"MaxClusterSamples", float64(d.MaxClusterSamples), 2500},
+		{"MinAttackSamples", float64(d.MinAttackSamples), 1},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s defaults to %v, want %v", c.field, c.got, c.want)
+		}
+	}
+}
+
 func TestTrainErrors(t *testing.T) {
 	benign := traffic.NewGenerator(1).Requests(10)
 	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 1).Requests(10)

@@ -123,13 +123,3 @@ func Load(r io.Reader) (*Model, error) {
 	}
 	return m, nil
 }
-
-// LoadFile reads a model from path. It is a compatibility shim over
-// LoadAny: a pre-refactor single-file model loads unchanged, and a
-// versioned artifact directory is routed through LoadArtifact (manifest
-// read, content hash verified) with the manifest discarded. Callers that
-// want the manifest use LoadAny or LoadArtifact directly.
-func LoadFile(path string) (*Model, error) {
-	m, _, err := LoadAny(path)
-	return m, err
-}

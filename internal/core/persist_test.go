@@ -51,9 +51,9 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := m.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
-	loaded, err := LoadFile(path)
+	loaded, _, err := LoadAny(path)
 	if err != nil {
-		t.Fatalf("LoadFile: %v", err)
+		t.Fatalf("LoadAny: %v", err)
 	}
 	if loaded.Name() != m.Name() {
 		t.Fatalf("Name: %q vs %q", loaded.Name(), m.Name())
@@ -156,7 +156,7 @@ func TestLoadCorrupted(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile("/nonexistent/model.json"); err == nil {
+	if _, _, err := LoadAny("/nonexistent/model.json"); err == nil {
 		t.Fatal("want error")
 	}
 }

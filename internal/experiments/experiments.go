@@ -1,9 +1,8 @@
 // Package experiments regenerates every table and figure in the paper's
 // evaluation section. Each experiment is a function over a shared Env
 // (datasets plus trained systems) returning a report artifact; the
-// cmd/evalharness binary and the repository's benchmark harness both drive
-// these functions, so the numbers in EXPERIMENTS.md come from exactly this
-// code.
+// cmd/evalharness binary drives these functions, so the paper-vs-measured
+// numbers in EXPERIMENTS.md come from exactly this code.
 package experiments
 
 import (

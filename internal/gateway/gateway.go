@@ -85,10 +85,13 @@ type Options struct {
 	// clean 502. Default 4 MiB.
 	MaxResponseBytes int64
 	// ScoreBudget is the slice of the per-request deadline reserved for
-	// scoring. Measured pSigene scoring is ~100µs p50 / ~370µs p99 (see
-	// EXPERIMENTS.md), so the 10ms default is ~25x p99 headroom; a
-	// detector that blows through it trips the budget check before the
-	// proxy leg starts. Default 10ms.
+	// scoring. Measured pSigene scoring is ~8µs mean / ~47µs p99 on benign
+	// GETs and ~29µs / ~110µs on scanner payloads (core.inspect_ns_per_op,
+	// core.inspect_p99_ns in EXPERIMENTS.md "Performance"), so the 10ms
+	// default is ~90x p99 headroom there; an 8 KiB form body costs ~5.6ms
+	// (p99 ~8.8ms), the case that comes close. A detector that blows
+	// through it trips the budget check before the proxy leg starts.
+	// Default 10ms.
 	ScoreBudget time.Duration
 	// UpstreamTimeout is the slice of the deadline for the proxy leg.
 	// Default 5s; chaos tests shrink it so Hang faults resolve fast.

@@ -67,28 +67,3 @@ func TestParallelEvaluateRace(t *testing.T) {
 	reqs := mixedWorkload(400)
 	ParallelEvaluate(e, reqs, runtime.GOMAXPROCS(0)*2)
 }
-
-// BenchmarkParallelEvaluate pairs the serial Evaluate baseline against
-// ParallelEvaluate at several worker counts on the same workload.
-func BenchmarkParallelEvaluate(b *testing.B) {
-	e, err := NewRuleEngine(ruleset.ModSecCRS(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := mixedWorkload(2000)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Evaluate(e, reqs)
-		}
-	})
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{{"workers1", 1}, {"workers4", 4}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				ParallelEvaluate(e, reqs, bc.workers)
-			}
-		})
-	}
-}

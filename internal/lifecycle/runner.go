@@ -77,7 +77,7 @@ func (s *CrawlSource) Fetch(round int) ([]httpx.Request, error) {
 
 // GenSource synthesizes fresh attack samples per round from an attackgen
 // profile, reseeded per round so every round sees new payloads. It stands
-// in for a live portal in benches and the CLI's synthetic mode.
+// in for a live portal in tests and the CLI's synthetic mode.
 type GenSource struct {
 	Profile attackgen.Profile
 	Seed    int64
