@@ -304,7 +304,7 @@ func (g *Gateway) SwapTagged(det ids.Detector, version, hash string) (uint64, er
 		return 0, fmt.Errorf("gateway: reload rejected: %w", err)
 	}
 	gen := g.gen.Add(1)
-	g.state.Store(&detectorState{det: det, gen: gen, version: version, hash: hash})
+	g.state.Store(newState(det, gen, version, hash))
 	g.stats.reloads.Add(1)
 	return gen, nil
 }

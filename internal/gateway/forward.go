@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/textproto"
 	"strconv"
 	"strings"
 	"time"
@@ -28,6 +29,9 @@ var hopByHopHeaders = map[string]bool{
 // trip, and a fully-buffered bounded body read before the first byte is
 // written downstream. Buffering first means a mid-body upstream failure
 // (reset, truncation) becomes a clean 502 instead of a half-written 200.
+// The round trip goes straight to the transport: a reverse proxy relays
+// redirects rather than following them, and it has no use for a client's
+// cookie jar or header copying.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, budget time.Duration) {
 	if !g.breakerAllow() {
 		g.stats.breakerRejected.Add(1)
@@ -39,27 +43,19 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, b
 	ctx, cancel := context.WithTimeout(r.Context(), budget)
 	defer cancel()
 
-	target := *g.upstream
-	target.Path = r.URL.Path
-	target.RawQuery = r.URL.RawQuery
-	out, err := http.NewRequestWithContext(ctx, r.Method, target.String(), bytes.NewReader(body))
-	if err != nil {
-		g.upstreamFailed(w, err)
-		return
-	}
-	copyHeaders(out.Header, r.Header)
-	setForwardedFor(out.Header, r)
-
-	resp, err := g.opts.Client.Do(out)
+	resp, err := g.transport.RoundTrip(g.outbound(r, body).WithContext(ctx))
 	if err != nil {
 		g.upstreamFailed(w, err)
 		return
 	}
 	defer resp.Body.Close()
 
-	// Bounded full read: a Truncate fault or oversized response surfaces
-	// here, while downstream has seen nothing yet.
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, g.opts.MaxResponseBytes+1))
+	// Bounded full read into a pooled buffer: a Truncate fault or
+	// oversized response surfaces here, while downstream has seen nothing
+	// yet.
+	rb := bodyPool.Get().(*bodyBuf)
+	defer bodyPool.Put(rb)
+	respBody, err := readBodyInto(rb, resp.Body, g.opts.MaxResponseBytes)
 	if err != nil {
 		g.upstreamFailed(w, err)
 		return
@@ -81,6 +77,37 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, body []byte, b
 	w.Header().Set("Content-Length", strconv.Itoa(len(respBody)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(respBody)
+}
+
+// outbound builds the upstream request for r: the upstream base URL with
+// the inbound path and query (the path the detector scored, so an escaped
+// slash reaches the upstream decoded, as it was scored), the end-to-end
+// headers plus X-Forwarded-For, and the buffered body. The body is
+// replayable (NoBody or GetBody) so the transport may retry a GET that
+// lands on a pooled connection the upstream has already closed.
+func (g *Gateway) outbound(r *http.Request, body []byte) *http.Request {
+	u := *g.upstream
+	u.Path = r.URL.Path
+	u.RawQuery = r.URL.RawQuery
+	h := make(http.Header, len(r.Header)+1)
+	copyHeaders(h, r.Header)
+	setForwardedFor(h, r)
+	out := &http.Request{
+		Method: r.Method,
+		URL:    &u,
+		Proto:  "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+		Header: h,
+		Host:   u.Host,
+		Body:   http.NoBody,
+	}
+	if len(body) > 0 {
+		out.ContentLength = int64(len(body))
+		out.Body = io.NopCloser(bytes.NewReader(body))
+		out.GetBody = func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		}
+	}
+	return out
 }
 
 // errResponseTooLarge marks an upstream body that blew the cap.
@@ -143,13 +170,35 @@ func setForwardedFor(h http.Header, r *http.Request) {
 	h.Set("X-Forwarded-For", ip)
 }
 
+// copyHeaders copies src's end-to-end headers into dst, sharing src's
+// value slices (neither side mutates them; a key dst already holds gets a
+// fresh slice). It drops the fixed hop-by-hop set and every header src's
+// Connection header names (RFC 7230 §6.1).
 func copyHeaders(dst, src http.Header) {
+	conn := src["Connection"]
 	for k, vs := range src {
-		if hopByHopHeaders[http.CanonicalHeaderKey(k)] {
+		k = http.CanonicalHeaderKey(k)
+		if hopByHopHeaders[k] || connectionListed(conn, k) {
 			continue
 		}
-		for _, v := range vs {
-			dst.Add(k, v)
+		if prior, ok := dst[k]; ok {
+			vs = append(prior[:len(prior):len(prior)], vs...)
+		}
+		dst[k] = vs
+	}
+}
+
+// connectionListed reports whether a Connection header's comma-separated
+// options name header k.
+func connectionListed(conn []string, k string) bool {
+	for _, v := range conn {
+		for v != "" {
+			var opt string
+			opt, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(textproto.TrimString(opt), k) {
+				return true
+			}
 		}
 	}
+	return false
 }

@@ -109,8 +109,14 @@ type Options struct {
 	// DisableBreaker turns the upstream breaker off (BreakerThreshold 0
 	// means "default", so disabling needs its own switch).
 	DisableBreaker bool
-	// Client issues upstream requests. Default: http.DefaultTransport
-	// with no client-level timeout (per-request deadlines govern).
+	// Client supplies the upstream transport: only Client.Transport is
+	// used. The gateway relays responses, so the client's redirect
+	// following, cookie jar and timeout play no part; per-request
+	// deadlines govern instead. Default (nil Client or nil Transport): a
+	// clone of http.DefaultTransport whose keep-alive pool is sized to
+	// MaxInFlight — up to MaxInFlight connections to the upstream, all of
+	// which may stay idle — so every in-flight request reuses one instead
+	// of dialing.
 	Client *http.Client
 	// Now is the clock used for latency accounting and deadline math;
 	// injectable so chaos tests control time. Default time.Now.
@@ -155,9 +161,6 @@ func (o *Options) fill() {
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 8
 	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
 	if o.Now == nil {
 		//lint:ignore walltime the clock is injected: every decision reads o.Now, the chaos suites replace it with a deterministic counter, and this default only binds the real clock for production deployments
 		o.Now = time.Now
@@ -173,25 +176,28 @@ type detectorState struct {
 	det           ids.Detector
 	gen           uint64
 	version, hash string
+	// genHdr is the rendered X-Psigene-Gen value, shared read-only by
+	// every response this state scores.
+	genHdr []string
 }
 
-// genHeader renders the X-Psigene-Gen value for a state: the bare
-// generation for untagged detectors (pre-artifact behavior, which existing
-// deployments parse), extended with the artifact version and a truncated
-// content hash when known.
-func genHeader(s *detectorState) string {
-	out := strconv.FormatUint(s.gen, 10)
-	if s.version != "" {
-		out += " " + s.version
+// newState builds the state for a detector installed at gen. The
+// X-Psigene-Gen value is the bare generation for untagged detectors
+// (pre-artifact behavior, which existing deployments parse), extended
+// with the artifact version and a truncated content hash when known.
+func newState(det ids.Detector, gen uint64, version, hash string) *detectorState {
+	out := strconv.FormatUint(gen, 10)
+	if version != "" {
+		out += " " + version
 	}
-	if s.hash != "" {
-		h := s.hash
+	if hash != "" {
+		h := hash
 		if len(h) > 12 {
 			h = h[:12]
 		}
 		out += " sha256:" + h
 	}
-	return out
+	return &detectorState{det: det, gen: gen, version: version, hash: hash, genHdr: []string{out}}
 }
 
 // latencyRingSize bounds the scoring-latency window summarized by /-/statz.
@@ -200,8 +206,9 @@ const latencyRingSize = 1024
 // Gateway is the scoring reverse proxy. Create with New; it serves via
 // ServeHTTP and shuts down via Drain.
 type Gateway struct {
-	opts     Options
-	upstream *url.URL
+	opts      Options
+	upstream  *url.URL
+	transport http.RoundTripper
 
 	state  atomic.Pointer[detectorState]
 	gen    atomic.Uint64
@@ -266,14 +273,21 @@ func New(upstream string, det ids.Detector, opts Options) (*Gateway, error) {
 		upstream: u,
 		sem:      make(chan struct{}, opts.MaxInFlight),
 	}
+	if opts.Client != nil {
+		g.transport = opts.Client.Transport
+	}
+	if g.transport == nil {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns = opts.MaxInFlight
+		t.MaxIdleConnsPerHost = opts.MaxInFlight
+		t.MaxConnsPerHost = opts.MaxInFlight
+		g.transport = t
+	}
 	if !opts.DisableBreaker {
 		g.breaker = resilience.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	//lint:ignore atomicguard construction-time install: there is no serving detector yet to protect, and the chaos suites rely on New accepting always-panicking detectors to prove containment; every subsequent swap probes via SwapTagged/StartCanary
-	g.state.Store(&detectorState{
-		det: det, gen: g.gen.Add(1),
-		version: opts.ModelVersion, hash: opts.ModelSHA256,
-	})
+	g.state.Store(newState(det, g.gen.Add(1), opts.ModelVersion, opts.ModelSHA256))
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	g.baseMallocs = ms.Mallocs
@@ -398,7 +412,7 @@ func (g *Gateway) shed(w http.ResponseWriter, reason string) {
 func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 	start := g.opts.Now()
 	state := g.state.Load()
-	w.Header().Set("X-Psigene-Gen", genHeader(state))
+	w.Header()["X-Psigene-Gen"] = state.genHdr
 
 	// The body read buffer is pooled and held until the upstream leg has
 	// replayed it; requests without bodies never touch the heap for it.
@@ -497,8 +511,10 @@ func (g *Gateway) inbound(r *http.Request, bb *bodyBuf) (httpx.Request, []byte, 
 	// Server-side requests are origin-form: the host lives in r.Host
 	// (r.URL.Hostname() would be empty), possibly with a port attached.
 	host := r.Host
-	if h, _, err := net.SplitHostPort(host); err == nil {
-		host = h
+	if strings.IndexByte(host, ':') >= 0 {
+		if h, _, err := net.SplitHostPort(host); err == nil {
+			host = h
+		}
 	}
 	req := httpx.Request{
 		Method:   strings.ToUpper(r.Method),
