@@ -72,11 +72,16 @@ fastpath-smoke:
 	$(GO) test -count=1 -run 'Prefilter|Fastpath|Session|ZeroAlloc|CountMatch|FullyGated|Opaque' ./internal/feature/ ./internal/core/ ./internal/analysis/
 
 # End-to-end smoke tests: the quickstart example must train and classify,
-# and the crawl-and-train example must finish its degraded loop against
-# fault-injecting portals.
+# the crawl-and-train example must finish its degraded loop against
+# fault-injecting portals, the incremental example must retrain, and
+# scan-webapp must scan the demo app and replay the scan through the
+# gateway (about 2 s each). examples/compare-ids (~20 s) stays out:
+# TestTable5Shape covers the same Table V path.
 smoke:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/crawl-and-train -flaky
+	$(GO) run ./examples/incremental
+	$(GO) run ./examples/scan-webapp
 
 # Chaos gate: the deterministic fault-injection suite (golden replay,
 # recovery floor, kill-and-resume equivalence, breaker state machine) plus

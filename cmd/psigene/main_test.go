@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"psigene/internal/attackgen"
+	"psigene/internal/core"
 	"psigene/internal/portal"
 )
 
@@ -29,7 +30,7 @@ func TestRunUsageErrors(t *testing.T) {
 
 func TestTrainInspectEvalCycle(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	var out strings.Builder
 	err := run([]string{"train", "-attacks", "500", "-benign", "1200", "-out", model}, &out)
 	if err != nil {
@@ -102,7 +103,7 @@ func TestCrawlThenTrainFromSamples(t *testing.T) {
 	// Training from a sample file exercises readSampleFile. A crawl this
 	// small may not cover 5%-sized clusters, so just require it to run or
 	// fail gracefully.
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	out.Reset()
 	err = run([]string{"train", "-samples", samples, "-benign", "1200", "-out", model}, &out)
 	if err != nil {
@@ -145,7 +146,7 @@ http://y.com/b.php?q=union+select
 
 func TestExportSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
+	model := filepath.Join(dir, "model")
 	bro := filepath.Join(dir, "psigene.bro")
 	var out strings.Builder
 	if err := run([]string{"train", "-attacks", "400", "-benign", "1000", "-out", model}, &out); err != nil {
@@ -166,8 +167,8 @@ func TestExportSubcommand(t *testing.T) {
 
 func TestTuneSubcommand(t *testing.T) {
 	dir := t.TempDir()
-	model := filepath.Join(dir, "model.json")
-	tuned := filepath.Join(dir, "tuned.json")
+	model := filepath.Join(dir, "model")
+	tuned := filepath.Join(dir, "tuned")
 	var out strings.Builder
 	if err := run([]string{"train", "-attacks", "400", "-benign", "1000", "-out", model}, &out); err != nil {
 		t.Fatalf("train: %v", err)
@@ -180,7 +181,15 @@ func TestTuneSubcommand(t *testing.T) {
 	if !strings.Contains(out.String(), "threshold") {
 		t.Fatalf("tune output:\n%s", out.String())
 	}
-	if _, err := os.Stat(tuned); err != nil {
+	man, err := core.ReadManifest(tuned)
+	if err != nil {
 		t.Fatalf("tuned model not written: %v", err)
+	}
+	if man.Version != "tuned" || man.Parent != "model" {
+		t.Fatalf("tuned manifest version %q parent %q, want tuned from model", man.Version, man.Parent)
+	}
+	// Artifacts are immutable: a second write to the same -out is refused.
+	if err := run([]string{"tune", "-model", model, "-out", tuned, "-attacks", "100", "-benign", "800"}, &out); err == nil {
+		t.Fatal("tune onto an existing artifact: want error")
 	}
 }

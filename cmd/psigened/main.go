@@ -2,7 +2,7 @@
 // scores every request against a trained signature set before forwarding
 // it to the protected upstream.
 //
-//	psigened -model model.json -upstream http://127.0.0.1:8080 -listen :9090
+//	psigened -model models/v1 -upstream http://127.0.0.1:8080 -listen :9090
 //
 // The admin control surface is served on its own listener (-admin-listen,
 // loopback-only by default; "" disables it) so public proxied traffic can
@@ -14,7 +14,7 @@
 //	GET  /-/statz              counters, breaker state, scoring latency,
 //	                           serving artifact version + content hash
 //	GET  /-/metrics            the same, in Prometheus text format
-//	POST /-/reload?path=m.json validate-then-swap a model named inside
+//	POST /-/reload?path=v2     validate-then-swap a model named inside
 //	                           -model-dir (default: the -model directory);
 //	                           a corrupt model leaves the old one serving
 //	POST /-/canary/start?path= score a candidate side-by-side on sampled
@@ -22,9 +22,10 @@
 //	GET  /-/canary             verdict-delta report for the active canary
 //	POST /-/canary/promote     swap the candidate in; /-/canary/abort drops it
 //
-// -model accepts either a legacy single-file model or a versioned
-// artifact directory (manifest.json + model.json); artifact identity is
-// echoed on X-Psigene-Gen and /-/statz.
+// -model and every ?path= name a versioned artifact directory
+// (manifest.json + model.json, as psigene train writes it); each is
+// hash-verified before it serves, and its identity is echoed on
+// X-Psigene-Gen and /-/statz.
 //
 // On SIGINT/SIGTERM the daemon stops admitting requests, drains in-flight
 // ones (bounded by -drain-timeout), and exits.
@@ -114,12 +115,12 @@ type testHooks struct {
 func run(args []string, w io.Writer, hooks *testHooks) error {
 	fs := flag.NewFlagSet("psigened", flag.ContinueOnError)
 	var (
-		model        = fs.String("model", "", "trained model file or artifact directory (psigene train output); required")
+		model        = fs.String("model", "", "trained model artifact directory (psigene train output); required")
 		upstream     = fs.String("upstream", "", "base URL of the protected upstream; required")
 		listen       = fs.String("listen", ":9090", "address to serve on")
 		adminListen  = fs.String("admin-listen", "127.0.0.1:9091", "address for the /-/ admin surface (loopback by default; empty disables it)")
 		adminToken   = fs.String("admin-token", "", "bearer token required on admin requests (empty: rely on the listener being private)")
-		modelDir     = fs.String("model-dir", "", "directory -/reload model names resolve in (default: the -model directory)")
+		modelDir     = fs.String("model-dir", "", "directory /-/reload artifact names resolve in (default: the parent of -model)")
 		policy       = fs.String("policy", "open", "scoring-failure policy: open (forward unscored) or closed (reject)")
 		maxInFlight  = fs.Int("max-in-flight", 256, "concurrent request cap; excess is shed with 503")
 		maxBody      = fs.Int64("max-body-bytes", 1<<20, "request body cap in bytes")
@@ -169,7 +170,7 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 		return fmt.Errorf("-fleet must be at least 1 replica")
 	}
 
-	m, man, err := core.LoadAny(*model)
+	m, man, err := core.LoadArtifact(*model)
 	if err != nil {
 		return fmt.Errorf("load model: %w", err)
 	}
@@ -311,7 +312,8 @@ func run(args []string, w io.Writer, hooks *testHooks) error {
 	if *adminListen != "" {
 		dir := *modelDir
 		if dir == "" {
-			dir = filepath.Dir(*model)
+			// Clean first: Dir of "models/v1/" is "models/v1" itself.
+			dir = filepath.Dir(filepath.Clean(*model))
 		}
 		adminLn, err := net.Listen("tcp", *adminListen)
 		if err != nil {

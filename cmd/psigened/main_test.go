@@ -43,8 +43,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	model := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(model); err != nil {
+	model := filepath.Join(t.TempDir(), "v1")
+	if _, err := m.SaveArtifact(model, core.Manifest{Version: "v1"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,8 +59,10 @@ func TestDaemonEndToEnd(t *testing.T) {
 	var out strings.Builder
 	done := make(chan error, 1)
 	go func() {
+		// The trailing slash is what shell tab-completion leaves on a
+		// directory; the admin model dir must still be its parent.
 		done <- run([]string{
-			"-model", model, "-upstream", up.URL,
+			"-model", model + "/", "-upstream", up.URL,
 			"-listen", "127.0.0.1:0", "-admin-listen", "127.0.0.1:0",
 			"-admin-token", "hunter2",
 		}, &out, hooks)
@@ -106,9 +108,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatalf("benign: %d %q", resp.StatusCode, body)
 	}
 	// The generation header carries the serving artifact's identity:
-	// generation, version (legacy files get a synthesized file: version)
-	// and truncated content hash.
-	if gen := resp.Header.Get("X-Psigene-Gen"); !strings.HasPrefix(gen, "1 file:model.json sha256:") {
+	// generation, manifest version and truncated content hash.
+	if gen := resp.Header.Get("X-Psigene-Gen"); !strings.HasPrefix(gen, "1 v1 sha256:") {
 		t.Fatalf("generation header %q", gen)
 	}
 	// A classic tautology is stopped at the gateway.
@@ -120,12 +121,12 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Fatal("blocked response must name the matching signatures")
 	}
 	if resp, body := get(adminBase, "/-/statz", "hunter2"); resp.StatusCode != http.StatusOK ||
-		!strings.Contains(body, `"blocked": 1`) || !strings.Contains(body, `"modelVersion": "file:model.json"`) {
+		!strings.Contains(body, `"blocked": 1`) || !strings.Contains(body, `"modelVersion": "v1"`) {
 		t.Fatalf("statz: %d %s", resp.StatusCode, body)
 	}
 
 	// Reload is confined to the model dir: names that resolve outside it
-	// are rejected up front; the model's own basename reloads fine.
+	// are rejected up front; the artifact's own name reloads fine.
 	post := func(path string) int {
 		t.Helper()
 		req, err := http.NewRequest(http.MethodPost, adminBase+path, nil)
@@ -143,7 +144,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if code := post("/-/reload?path=" + url.QueryEscape("../../etc/passwd")); code != http.StatusBadRequest {
 		t.Fatalf("traversal reload: %d, want 400", code)
 	}
-	if code := post("/-/reload?path=model.json"); code != http.StatusOK {
+	if code := post("/-/reload?path=v1"); code != http.StatusOK {
 		t.Fatalf("reload: %d, want 200", code)
 	}
 
@@ -167,8 +168,8 @@ func TestDaemonFleetMode(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	model := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(model); err != nil {
+	model := filepath.Join(t.TempDir(), "v1")
+	if _, err := m.SaveArtifact(model, core.Manifest{Version: "v1"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -240,7 +241,7 @@ func TestDaemonFleetMode(t *testing.T) {
 	}
 
 	// Reload fans out to every replica and bumps the fleet generation.
-	req, err := http.NewRequest(http.MethodPost, adminBase+"/-/reload?path=model.json", nil)
+	req, err := http.NewRequest(http.MethodPost, adminBase+"/-/reload?path=v1", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,14 +270,14 @@ func TestDaemonFleetMode(t *testing.T) {
 
 // TestDaemonListenConflict covers the bind-failure path.
 func TestDaemonListenConflict(t *testing.T) {
-	model := filepath.Join(t.TempDir(), "model.json")
+	model := filepath.Join(t.TempDir(), "v1")
 	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 43).Requests(600)
 	benign := traffic.NewGenerator(44).Requests(900)
 	m, err := core.Train(attacks, benign, core.Config{})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	if err := m.SaveFile(model); err != nil {
+	if _, err := m.SaveArtifact(model, core.Manifest{Version: "v1"}); err != nil {
 		t.Fatal(err)
 	}
 	up := httptest.NewServer(webapp.New(5))

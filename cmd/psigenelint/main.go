@@ -7,7 +7,7 @@
 // defeat the serving fast path, dead signatures) in the compiled feature
 // catalog and, with -model, in a trained signature set.
 //
-//	psigenelint [-json] [-model file] [-corpus n] [-checks a,b]
+//	psigenelint [-json] [-model dir] [-corpus n] [-checks a,b]
 //	            [-baseline file] [-write-baseline file] [-time] [packages]
 //
 // Packages are go-style directory patterns relative to the module root
@@ -61,7 +61,7 @@ func run(args []string, root string, w io.Writer) (int, error) {
 	fs.SetOutput(w)
 	var (
 		jsonOut   = fs.Bool("json", false, "emit diagnostics as a JSON array")
-		modelPath = fs.String("model", "", "trained model file to run the signature checks against")
+		modelPath = fs.String("model", "", "trained model artifact directory to run the signature checks against")
 		corpusN   = fs.Int("corpus", analysis.DefaultProbeSamples, "probe-corpus samples per attackgen profile (0 disables corpus checks)")
 		seed      = fs.Int64("seed", analysis.DefaultProbeSeed, "probe-corpus generator seed")
 		checks    = fs.String("checks", "", "comma-separated check names to report (default all)")
@@ -127,7 +127,7 @@ func run(args []string, root string, w io.Writer) (int, error) {
 	// lifecycle gate uses (deadsig, plus corpus-driven nevermatch and
 	// subsumed over the model's observed features).
 	if *modelPath != "" {
-		m, _, err := core.LoadAny(*modelPath)
+		m, _, err := core.LoadArtifact(*modelPath)
 		if err != nil {
 			return 0, fmt.Errorf("loading model: %w", err)
 		}

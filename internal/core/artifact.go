@@ -40,8 +40,8 @@ type Manifest struct {
 	// SchemaVersion is the manifest format version.
 	SchemaVersion int `json:"schemaVersion"`
 	// Version is the artifact's version name (the lifecycle store assigns
-	// "v000001"-style names; synthesized manifests for legacy single-file
-	// models use "file:<basename>").
+	// "v000001"-style names; psigene train and tune use the -out base
+	// name).
 	Version string `json:"version"`
 	// Parent is the version this model was derived from by incremental
 	// retraining; empty for a from-scratch bootstrap.
@@ -101,7 +101,7 @@ func (m *Model) SaveArtifact(dir string, man Manifest) (Manifest, error) {
 		return man, fmt.Errorf("core: artifact manifest needs a version")
 	}
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.encode(&buf); err != nil {
 		return man, fmt.Errorf("core: encode artifact model: %w", err)
 	}
 	sum := sha256.Sum256(buf.Bytes())
@@ -117,8 +117,9 @@ func (m *Model) SaveArtifact(dir string, man Manifest) (Manifest, error) {
 	}
 	manBytes = append(manBytes, '\n')
 
-	parent := filepath.Dir(dir)
-	tmp, err := os.MkdirTemp(parent, ".artifact-*")
+	// Clean first: Dir of a path with a trailing slash is the path itself.
+	dir = filepath.Clean(dir)
+	tmp, err := os.MkdirTemp(filepath.Dir(dir), ".artifact-*")
 	if err != nil {
 		return man, fmt.Errorf("core: stage artifact: %w", err)
 	}
@@ -176,7 +177,7 @@ func LoadArtifact(dir string) (*Model, Manifest, error) {
 	if got := hex.EncodeToString(sum[:]); got != man.ModelSHA256 {
 		return nil, man, fmt.Errorf("core: artifact %s model hash %s does not match manifest %s", man.Version, got, man.ModelSHA256)
 	}
-	m, err := Load(bytes.NewReader(raw))
+	m, err := decode(bytes.NewReader(raw))
 	if err != nil {
 		return nil, man, fmt.Errorf("core: artifact %s: %w", man.Version, err)
 	}
@@ -185,38 +186,6 @@ func LoadArtifact(dir string) (*Model, Manifest, error) {
 	}
 	if rev := feature.Revision(m.Features); rev != man.FeatureRevision {
 		return nil, man, fmt.Errorf("core: artifact %s feature revision %s does not match manifest %s", man.Version, rev, man.FeatureRevision)
-	}
-	return m, man, nil
-}
-
-// LoadAny loads a model from either form: an artifact directory (routed
-// through LoadArtifact, hash-verified) or a pre-refactor single-file
-// model (legacy JSON, for which a manifest is synthesized from the file's
-// own bytes so callers always get a version name and content hash).
-func LoadAny(path string) (*Model, Manifest, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	if info.IsDir() {
-		return LoadArtifact(path)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	m, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		return nil, Manifest{}, err
-	}
-	sum := sha256.Sum256(raw)
-	man := Manifest{
-		SchemaVersion:   ManifestSchemaVersion,
-		Version:         "file:" + filepath.Base(path),
-		ModelSHA256:     hex.EncodeToString(sum[:]),
-		FeatureRevision: feature.Revision(m.Features),
-		Signatures:      len(m.Signatures),
-		AttackSamples:   m.Stats.AttackSamples,
 	}
 	return m, man, nil
 }

@@ -85,6 +85,14 @@ func TestArtifactImmutableAndAtomic(t *testing.T) {
 	if _, err := os.Stat(empty); !os.IsNotExist(err) {
 		t.Fatalf("rejected save left %s behind (err %v)", empty, err)
 	}
+	// A trailing slash (shell tab-completion) names the same directory.
+	slashed := filepath.Join(t.TempDir(), "v000002") + "/"
+	if _, err := smallModel(t).SaveArtifact(slashed, Manifest{Version: "v000002"}); err != nil {
+		t.Fatalf("SaveArtifact(%q): %v", slashed, err)
+	}
+	if _, man, err := LoadArtifact(slashed); err != nil || man.Version != "v000002" {
+		t.Fatalf("LoadArtifact(%q): %v %+v", slashed, err, man)
+	}
 }
 
 // TestLoadArtifactTruncated mirrors TestLoadTruncated for the artifact
@@ -204,37 +212,6 @@ func TestLoadArtifactManifestMismatches(t *testing.T) {
 			t.Fatalf("hash mismatch: %v", err)
 		}
 	})
-}
-
-// TestLoadAny pins the compatibility surface: LoadAny handles both a
-// legacy single-file model (synthesizing a file: manifest) and an
-// artifact directory.
-func TestLoadAny(t *testing.T) {
-	m := smallModel(t)
-	file := filepath.Join(t.TempDir(), "legacy.json")
-	if err := m.SaveFile(file); err != nil {
-		t.Fatal(err)
-	}
-
-	lm, lman, err := LoadAny(file)
-	if err != nil {
-		t.Fatalf("LoadAny(file): %v", err)
-	}
-	if lman.Version != "file:legacy.json" || lman.ModelSHA256 == "" || lman.Signatures != len(m.Signatures) {
-		t.Fatalf("synthesized manifest %+v", lman)
-	}
-	if len(lm.Signatures) != len(m.Signatures) {
-		t.Fatal("legacy model loaded wrong")
-	}
-
-	dir, man := saveTestArtifact(t, Manifest{Version: "v000001"})
-	_, dman, err := LoadAny(dir)
-	if err != nil {
-		t.Fatalf("LoadAny(dir): %v", err)
-	}
-	if dman != man {
-		t.Fatalf("LoadAny(dir) manifest %+v, want %+v", dman, man)
-	}
 }
 
 func TestCorpusFingerprint(t *testing.T) {

@@ -597,7 +597,7 @@ type scoreScratch struct {
 
 // scorePool holds scoreScratch values. It is package-level rather than a
 // Model field so that Model stays shallow-copyable (WithSignatures) and
-// models restored by Load share the same warm pool.
+// models restored by LoadArtifact share the same warm pool.
 var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
 // Inspect implements ids.Detector: alert when any signature's probability

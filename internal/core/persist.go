@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
 	"psigene/internal/feature"
 	"psigene/internal/ml"
@@ -41,8 +40,9 @@ type signatureJSON struct {
 
 const modelVersion = 1
 
-// Save writes the model to w as JSON.
-func (m *Model) Save(w io.Writer) error {
+// encode writes the model to w as JSON: the model.json member of an
+// artifact (see SaveArtifact).
+func (m *Model) encode(w io.Writer) error {
 	out := modelJSON{Version: modelVersion, Binary: m.binary, Stats: m.Stats}
 	for _, f := range m.Features.Features {
 		out.Features = append(out.Features, featureJSON{
@@ -65,23 +65,10 @@ func (m *Model) Save(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return fmt.Errorf("save model: %w", err)
-	}
-	return nil
-}
-
-// Load reads a model saved with Save. The result detects (Inspect,
+// decode reads a model written by encode. The result detects (Inspect,
 // Probabilities) but does not retain training state, so Update returns an
 // error.
-func Load(r io.Reader) (*Model, error) {
+func decode(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decode model: %w", err)
@@ -104,10 +91,17 @@ func Load(r io.Reader) (*Model, error) {
 		if len(s.Features) != len(s.Weights) {
 			return nil, fmt.Errorf("core: signature %d has %d features but %d weights", s.ID, len(s.Features), len(s.Weights))
 		}
+		// A repeated column would make the dense and sparse scorers
+		// disagree: the sparse weight table keeps only its last weight.
+		seen := make(map[int]bool, len(s.Features))
 		for _, j := range s.Features {
 			if j < 0 || j >= m.Features.Len() {
 				return nil, fmt.Errorf("core: signature %d references feature %d of %d", s.ID, j, m.Features.Len())
 			}
+			if seen[j] {
+				return nil, fmt.Errorf("core: signature %d lists feature %d twice", s.ID, j)
+			}
+			seen[j] = true
 		}
 		m.Signatures = append(m.Signatures, &Signature{
 			ID:                s.ID,

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -14,12 +13,12 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m := smallModel(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := m.encode(&buf); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := decode(&buf)
 	if err != nil {
-		t.Fatalf("Load: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if len(loaded.Signatures) != len(m.Signatures) {
 		t.Fatalf("loaded %d signatures, want %d", len(loaded.Signatures), len(m.Signatures))
@@ -45,28 +44,13 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	m := smallModel(t)
-	path := filepath.Join(t.TempDir(), "model.json")
-	if err := m.SaveFile(path); err != nil {
-		t.Fatalf("SaveFile: %v", err)
-	}
-	loaded, _, err := LoadAny(path)
-	if err != nil {
-		t.Fatalf("LoadAny: %v", err)
-	}
-	if loaded.Name() != m.Name() {
-		t.Fatalf("Name: %q vs %q", loaded.Name(), m.Name())
-	}
-}
-
 func TestLoadedModelCannotUpdate(t *testing.T) {
 	m := smallModel(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,9 +70,12 @@ func TestLoadErrors(t *testing.T) {
 		  "signatures": [{"id":1,"features":[0,1],"weights":[1],"bias":0,"threshold":0.5}]}`,
 		`{"version": 1, "features": [{"name":"a","source":1,"word":"a"}],
 		  "signatures": [{"id":1,"features":[5],"weights":[1],"bias":0,"threshold":0.5}]}`,
+		// A repeated column: dense and sparse scoring would disagree.
+		`{"version": 1, "features": [{"name":"a","source":1,"word":"union"}],
+		  "signatures": [{"id":1,"features":[0,0],"weights":[3,-3],"bias":-1,"threshold":0.5}]}`,
 	}
 	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
+		if _, err := decode(strings.NewReader(c)); err == nil {
 			t.Fatalf("case %d: want error", i)
 		}
 	}
@@ -102,7 +89,7 @@ func TestLoadErrors(t *testing.T) {
 func TestLoadTruncated(t *testing.T) {
 	m := smallModel(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -117,25 +104,25 @@ func TestLoadTruncated(t *testing.T) {
 		cuts = append(cuts, n)
 	}
 	for _, n := range cuts {
-		if _, err := Load(bytes.NewReader(full[:n])); err == nil {
+		if _, err := decode(bytes.NewReader(full[:n])); err == nil {
 			t.Fatalf("truncated to %d of %d bytes: want error", n, len(full))
 		}
 	}
 	// Sanity: the untruncated bytes still load.
-	if _, err := Load(bytes.NewReader(full)); err != nil {
+	if _, err := decode(bytes.NewReader(full)); err != nil {
 		t.Fatalf("full model failed to load: %v", err)
 	}
 }
 
 // TestLoadCorrupted flips single bytes of a valid saved model. Corruption
 // may survive decoding (a digit flipped inside a weight is still valid
-// JSON), so the invariant is weaker than for truncation: Load must never
+// JSON), so the invariant is weaker than for truncation: decode must never
 // panic, and any model it does accept must score requests without
 // panicking.
 func TestLoadCorrupted(t *testing.T) {
 	m := smallModel(t)
 	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	if err := m.encode(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -144,7 +131,7 @@ func TestLoadCorrupted(t *testing.T) {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := append([]byte(nil), full...)
 			mut[pos] ^= flip
-			loaded, err := Load(bytes.NewReader(mut))
+			loaded, err := decode(bytes.NewReader(mut))
 			if err != nil {
 				continue
 			}
@@ -152,11 +139,5 @@ func TestLoadCorrupted(t *testing.T) {
 				loaded.Inspect(r) // must not panic
 			}
 		}
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, _, err := LoadAny("/nonexistent/model.json"); err == nil {
-		t.Fatal("want error")
 	}
 }

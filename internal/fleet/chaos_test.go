@@ -98,8 +98,8 @@ func trainedModelPair(t *testing.T) (pathA, pathB string) {
 			name                string
 			attackSeed, webSeed int64
 		}{
-			{"modelA.json", 11, 12},
-			{"modelB.json", 13, 14},
+			{"modelA", 11, 12},
+			{"modelB", 13, 14},
 		} {
 			attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), m.attackSeed).Requests(800)
 			benign := traffic.NewGenerator(m.webSeed).Requests(1000)
@@ -108,7 +108,7 @@ func trainedModelPair(t *testing.T) (pathA, pathB string) {
 				modelsErr = err
 				return
 			}
-			if err := model.SaveFile(filepath.Join(dir, m.name)); err != nil {
+			if _, err := model.SaveArtifact(filepath.Join(dir, m.name), core.Manifest{Version: m.name}); err != nil {
 				modelsErr = err
 				return
 			}
@@ -117,7 +117,7 @@ func trainedModelPair(t *testing.T) (pathA, pathB string) {
 	if modelsErr != nil {
 		t.Fatalf("training models: %v", modelsErr)
 	}
-	return filepath.Join(modelsDir, "modelA.json"), filepath.Join(modelsDir, "modelB.json")
+	return filepath.Join(modelsDir, "modelA"), filepath.Join(modelsDir, "modelB")
 }
 
 func TestMain(m *testing.M) {
@@ -169,7 +169,7 @@ func runSingleInstance(t *testing.T, targets, remotes []string, pathA, pathB str
 	t.Helper()
 	srv := chaosUpstream(chaosUpSeed, chaosFaultRate)
 	defer srv.Close()
-	det, man, err := core.LoadAny(pathA)
+	det, man, err := core.LoadArtifact(pathA)
 	if err != nil {
 		t.Fatalf("load model A: %v", err)
 	}
@@ -211,7 +211,7 @@ func runFleet(t *testing.T, targets, remotes []string, pathA, pathB string) flee
 	const replicas = 3
 	gws := make([]*gateway.Gateway, replicas)
 	for i := range gws {
-		det, man, err := core.LoadAny(pathA)
+		det, man, err := core.LoadArtifact(pathA)
 		if err != nil {
 			t.Fatalf("load model A for replica %d: %v", i, err)
 		}

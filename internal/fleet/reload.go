@@ -7,12 +7,12 @@ import (
 	"psigene/internal/ids"
 )
 
-// ReloadAll loads a model — a single file or a hash-verified artifact
-// directory, see core.LoadAny — and installs it fleet-wide through the
+// ReloadAll loads a hash-verified model artifact directory (see
+// core.LoadArtifact) and installs it fleet-wide through the
 // two-phase protocol. Returns the new fleet generation on success; every
 // failure path leaves all replicas serving exactly what they were.
 func (f *Front) ReloadAll(path string) (uint64, error) {
-	m, man, err := core.LoadAny(path)
+	m, man, err := core.LoadArtifact(path)
 	if err != nil {
 		f.stats.reloadFailures.Add(1)
 		return 0, fmt.Errorf("fleet: reload rejected: %w", err)

@@ -25,7 +25,7 @@ type AdminConfig struct {
 	// time; wrong or missing credentials answer 401.
 	Token string
 	// ModelDir confines reloads and canary starts: their `?path=`
-	// parameter is a local name (model file or artifact directory)
+	// parameter is the local name of a model artifact directory
 	// resolved inside this directory, never an arbitrary filesystem
 	// path. Empty disables /-/reload and /-/canary/start entirely.
 	ModelDir string
@@ -152,7 +152,7 @@ func (h *adminHandler) serveReload(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.URL.Query().Get("path")
 	if name == "" {
-		http.Error(w, "reload needs ?path=<name.json>", http.StatusBadRequest)
+		http.Error(w, "reload needs ?path=<name>", http.StatusBadRequest)
 		return
 	}
 	// The parameter is a name inside ModelDir, not a path: absolute paths
@@ -212,7 +212,7 @@ func (h *adminHandler) serveDenylistReload(w http.ResponseWriter, r *http.Reques
 }
 
 // serveCanaryStart begins shadow-scoring with a candidate named by
-// ?path= (a model file or artifact directory inside ModelDir, same
+// ?path= (a model artifact directory inside ModelDir, same
 // confinement as reload), at ?fraction= of traffic (default 1) under
 // ?seed=. Failure detail is logged, not echoed, for the same
 // oracle-avoidance reason as reload.
@@ -251,7 +251,7 @@ func (h *adminHandler) serveCanaryStart(w http.ResponseWriter, r *http.Request) 
 		}
 		cfg.Seed = v
 	}
-	m, man, err := core.LoadAny(filepath.Join(h.cfg.ModelDir, name))
+	m, man, err := core.LoadArtifact(filepath.Join(h.cfg.ModelDir, name))
 	if err != nil {
 		fmt.Fprintf(h.cfg.Log, "psigened: canary %q: %v\n", name, err)
 		http.Error(w, "canary rejected; no candidate loaded (see server log)", http.StatusInternalServerError)
@@ -266,17 +266,16 @@ func (h *adminHandler) serveCanaryStart(w http.ResponseWriter, r *http.Request) 
 	writeJSON(w, map[string]any{"canary": man.Version, "fraction": cfg.Fraction, "seed": cfg.Seed})
 }
 
-// ReloadModel loads a model — a single file or a versioned artifact
-// directory (hash-verified, see core.LoadAny) — validates it, probes it,
-// and only then swaps it in, tagged with the artifact version and content
-// hash from its manifest. Every failure path leaves the previous detector
-// serving — a corrupt or half-written model push is a logged non-event,
-// not an outage. Reloads are serialized so concurrent pushes cannot
+// ReloadModel loads a model artifact directory (hash-verified, see
+// core.LoadArtifact), probes it, and only then swaps it in, tagged with
+// the artifact version and content hash from its manifest. Every failure
+// path leaves the previous detector serving — a corrupt or half-written
+// model push is a logged non-event, not an outage. Reloads are serialized so concurrent pushes cannot
 // interleave load and swap. Returns the new generation on success.
 func (g *Gateway) ReloadModel(path string) (uint64, error) {
 	g.reloadMu.Lock()
 	defer g.reloadMu.Unlock()
-	m, man, err := core.LoadAny(path)
+	m, man, err := core.LoadArtifact(path)
 	if err != nil {
 		g.stats.reloadFailures.Add(1)
 		return 0, fmt.Errorf("gateway: reload rejected: %w", err)

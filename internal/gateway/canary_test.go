@@ -131,11 +131,11 @@ func TestCanaryAdminEndpoints(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("canary start: %d: %s", w.Code, w.Body.String())
 	}
-	if w := adminGet(admin, "/-/canary"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), "file:") {
+	if w := adminGet(admin, "/-/canary"); w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"v1"`) {
 		t.Fatalf("canary report: %d: %s", w.Code, w.Body.String())
 	}
 	// Traversal is rejected before the filesystem is touched.
-	if w := adminPost(admin, "/-/canary/start?path=..%2Fmodel.json"); w.Code != http.StatusBadRequest {
+	if w := adminPost(admin, "/-/canary/start?path=..%2Fv1"); w.Code != http.StatusBadRequest {
 		t.Fatalf("traversal canary path: %d", w.Code)
 	}
 	if w := adminPost(admin, "/-/canary/abort"); w.Code != http.StatusOK {
@@ -152,7 +152,7 @@ func TestCanaryAdminEndpoints(t *testing.T) {
 	if w := adminPost(admin, "/-/canary/promote"); w.Code != http.StatusOK {
 		t.Fatalf("canary promote: %d: %s", w.Code, w.Body.String())
 	}
-	if snap := g.Snapshot(); !strings.HasPrefix(snap.ModelVersion, "file:") {
+	if snap := g.Snapshot(); snap.ModelVersion != "v1" {
 		t.Fatalf("promoted model version %q", snap.ModelVersion)
 	}
 }

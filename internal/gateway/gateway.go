@@ -116,7 +116,9 @@ type Options struct {
 	// clone of http.DefaultTransport whose keep-alive pool is sized to
 	// MaxInFlight — up to MaxInFlight connections to the upstream, all of
 	// which may stay idle — so every in-flight request reuses one instead
-	// of dialing.
+	// of dialing. The outbound request body aliases a pooled buffer that
+	// is reused once forwarding ends, so a custom Transport must be done
+	// reading the request body (and GetBody) when RoundTrip returns.
 	Client *http.Client
 	// Now is the clock used for latency accounting and deadline math;
 	// injectable so chaos tests control time. Default time.Now.

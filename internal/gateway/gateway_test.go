@@ -355,7 +355,8 @@ func TestAdminBearerToken(t *testing.T) {
 	}
 }
 
-// trainedModelFile trains a small model once and saves it for reload tests.
+// trainedModel trains a small model once and saves it as artifact "v1"
+// for reload tests, returning the artifact directory.
 var (
 	trainedOnce sync.Once
 	trainedDir  string
@@ -381,8 +382,8 @@ func trainedModel(t *testing.T) string {
 			return
 		}
 		trainedDir = dir
-		trainedPath = filepath.Join(dir, "model.json")
-		trainedErr = m.SaveFile(trainedPath)
+		trainedPath = filepath.Join(dir, "v1")
+		_, trainedErr = m.SaveArtifact(trainedPath, core.Manifest{Version: "v1"})
 	})
 	if trainedErr != nil {
 		t.Fatalf("training model: %v", trainedErr)
@@ -416,10 +417,10 @@ func TestReloadSwapsGeneration(t *testing.T) {
 	if det.Name() == "stub" {
 		t.Fatal("detector not swapped")
 	}
-	// Reloaded models are artifact-tagged: generation, then the version
-	// ("file:<name>" for single-file models) and the content hash.
+	// Reloaded models are artifact-tagged: generation, then the manifest
+	// version and the content hash.
 	gotGen := get(g, "/p?id=1").Header().Get("X-Psigene-Gen")
-	if !strings.HasPrefix(gotGen, "2 file:") || !strings.Contains(gotGen, " sha256:") {
+	if !strings.HasPrefix(gotGen, "2 v1 sha256:") || !strings.Contains(gotGen, " sha256:") {
 		t.Fatalf("request scored by generation %q, want 2 with model tags", gotGen)
 	}
 }
@@ -429,13 +430,13 @@ func TestFailedReloadKeepsOldDetector(t *testing.T) {
 	defer up.Close()
 	g := mustGateway(t, up.URL, stubDetector{needle: "union select"}, Options{})
 
-	// A corrupt model file: valid JSON prefix, truncated mid-document.
+	// A corrupt push: a good manifest over a truncated model.json.
 	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "corrupt.json"), `{"version": 1, "features": [{"na`)
+	copyArtifact(t, dir, "corrupt", true)
 	var log strings.Builder
 	admin := g.Admin(AdminConfig{ModelDir: dir, Log: &log})
 
-	for _, name := range []string{"corrupt.json", "missing.json"} {
+	for _, name := range []string{"corrupt", "missing"} {
 		w := adminReload(admin, name)
 		if w.Code != http.StatusInternalServerError {
 			t.Fatalf("reload %s: %d, want 500", name, w.Code)
@@ -448,7 +449,7 @@ func TestFailedReloadKeepsOldDetector(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(log.String(), "corrupt.json") || !strings.Contains(log.String(), "missing.json") {
+	if !strings.Contains(log.String(), `"corrupt"`) || !strings.Contains(log.String(), `"missing"`) {
 		t.Fatalf("reload failures not logged:\n%s", log.String())
 	}
 	// A detector that panics on probe is rejected before the swap.
@@ -485,7 +486,7 @@ func TestReloadConfinedToModelDir(t *testing.T) {
 	}
 	// With no model dir configured, reload is off entirely.
 	noDir := g.Admin(AdminConfig{})
-	if w := adminReload(noDir, "model.json"); w.Code != http.StatusForbidden {
+	if w := adminReload(noDir, "v1"); w.Code != http.StatusForbidden {
 		t.Fatalf("reload without model dir: %d, want 403", w.Code)
 	}
 	if _, gen := g.Detector(); gen != 1 {
@@ -708,6 +709,27 @@ func TestDrainTimeout(t *testing.T) {
 		t.Fatal("Drain must report an expired context")
 	}
 	close(release)
+}
+
+// copyArtifact copies the trained artifact to dir/name. With truncate,
+// model.json is cut in half under the intact manifest, so only the
+// content hash can reject it.
+func copyArtifact(t *testing.T, dir, name string, truncate bool) {
+	t.Helper()
+	src, dst := trainedModel(t), filepath.Join(dir, name)
+	if err := os.Mkdir(dst, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []string{core.ManifestFile, core.ModelFile} {
+		b, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truncate && f == core.ModelFile {
+			b = b[:len(b)/2]
+		}
+		writeFile(t, filepath.Join(dst, f), string(b))
+	}
 }
 
 func writeFile(t *testing.T, path, content string) {

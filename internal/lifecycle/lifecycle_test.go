@@ -1,7 +1,6 @@
 package lifecycle
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -62,11 +61,11 @@ func sharedModel(t *testing.T) *core.Model {
 // but behaviorally broken candidate.
 func neuteredClone(t *testing.T, m *core.Model) *core.Model {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	dir := filepath.Join(t.TempDir(), "clone")
+	if _, err := m.SaveArtifact(dir, core.Manifest{Version: "clone"}); err != nil {
 		t.Fatalf("clone save: %v", err)
 	}
-	c, err := core.Load(&buf)
+	c, _, err := core.LoadArtifact(dir)
 	if err != nil {
 		t.Fatalf("clone load: %v", err)
 	}
