@@ -4,12 +4,13 @@
 //
 //	portalsrv -addr 127.0.0.1:8931 -entries 40
 //
-// serves four portals under one listener:
+// serves five portals under one listener:
 //
-//	/securityfocus/  HTML listing + advisory pages
-//	/exploitdb/      HTML listing + advisory pages
-//	/packetstorm/    HTML listing + advisory pages
-//	/osvdb/          JSON search API (/osvdb/api/search)
+//	/securityfocus/   HTML listing + advisory pages
+//	/exploitdb/       HTML listing + advisory pages
+//	/packetstorm/     HTML listing + advisory pages
+//	/osvdb/           JSON search API (/osvdb/api/search)
+//	/fulldisclosure/  mailing-list forum: thread index + threads
 package main
 
 import (
@@ -45,31 +46,7 @@ func run(args []string) error {
 		return err
 	}
 
-	mux := http.NewServeMux()
-	names := []struct {
-		prefix string
-		style  portal.Style
-	}{
-		{"securityfocus", portal.StyleHTML},
-		{"exploitdb", portal.StyleHTML},
-		{"packetstorm", portal.StyleHTML},
-		{"osvdb", portal.StyleAPI},
-		{"fulldisclosure", portal.StyleForum},
-	}
-	for i, n := range names {
-		gen := attackgen.NewGenerator(attackgen.CrawlProfile(), seedFor(*seed, i))
-		p := portal.New(n.prefix, n.style, 10, portal.GenerateEntries(gen, *entries))
-		h := p.Handler()
-		if *faultRate > 0 {
-			inj := faultify.New(faultify.Config{
-				Seed:    *faultSeed,
-				Rates:   faultify.Uniform(*faultRate),
-				Repeats: *faultLives,
-			})
-			h = p.FaultyHandler(inj)
-		}
-		mux.Handle("/"+n.prefix+"/", http.StripPrefix("/"+n.prefix, h))
-	}
+	mux := newMux(*entries, *seed, *faultRate, *faultSeed, *faultLives)
 	if *faultRate > 0 {
 		fmt.Printf("fault injection on: rate %.0f%%, seed %d, repeats %d\n", *faultRate*100, *faultSeed, *faultLives)
 	}
@@ -79,19 +56,51 @@ func run(args []string) error {
 		return err
 	}
 	fmt.Printf("portals listening on http://%s/{securityfocus,exploitdb,packetstorm,osvdb,fulldisclosure}/\n", ln.Addr())
-	fmt.Printf("crawl them with:\n  psigene crawl -portals %s\n", portalList(ln.Addr().String(), names))
+	fmt.Printf("crawl them with:\n  psigene crawl -portals %s\n", portalList(ln.Addr().String()))
 	server := &http.Server{Handler: mux}
 	return server.Serve(ln)
 }
 
-func seedFor(base int64, i int) int64 { return base + int64(i)*7 }
-
-func portalList(addr string, names []struct {
+// portals lists the simulated portals in mount order; a portal's index
+// also derives its sample seed.
+var portals = []struct {
 	prefix string
 	style  portal.Style
-}) string {
+}{
+	{"securityfocus", portal.StyleHTML},
+	{"exploitdb", portal.StyleHTML},
+	{"packetstorm", portal.StyleHTML},
+	{"osvdb", portal.StyleAPI},
+	{"fulldisclosure", portal.StyleForum},
+}
+
+// newMux mounts every portal under /<prefix>/, each serving entries
+// advisories generated from seed. A positive faultRate wraps each portal
+// in its own fault injector on the faultSeed schedule.
+func newMux(entries int, seed int64, faultRate float64, faultSeed int64, faultRepeats int) *http.ServeMux {
+	mux := http.NewServeMux()
+	for i, n := range portals {
+		gen := attackgen.NewGenerator(attackgen.CrawlProfile(), seedFor(seed, i))
+		p := portal.New(n.prefix, n.style, 10, portal.GenerateEntries(gen, entries))
+		h := p.Handler()
+		if faultRate > 0 {
+			inj := faultify.New(faultify.Config{
+				Seed:    faultSeed,
+				Rates:   faultify.Uniform(faultRate),
+				Repeats: faultRepeats,
+			})
+			h = p.FaultyHandler(inj)
+		}
+		mux.Handle("/"+n.prefix+"/", http.StripPrefix("/"+n.prefix, h))
+	}
+	return mux
+}
+
+func seedFor(base int64, i int) int64 { return base + int64(i)*7 }
+
+func portalList(addr string) string {
 	out := ""
-	for i, n := range names {
+	for i, n := range portals {
 		if i > 0 {
 			out += ","
 		}

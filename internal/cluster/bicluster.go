@@ -304,15 +304,7 @@ func discriminatingFeatures(m matrix.RowMatrix, leaves []int, weights []float64,
 	for _, i := range leaves {
 		w := weights[i]
 		totalW += w
-		cols, vals := m.RowNonZeros(i)
-		if cols == nil {
-			for j, v := range vals {
-				if v != 0 {
-					support[j] += w
-				}
-			}
-			continue
-		}
+		cols, _ := m.RowNonZeros(i)
 		for _, j := range cols {
 			support[j] += w
 		}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"psigene/internal/matrix"
@@ -266,4 +267,42 @@ func equalIntSets(a, b []int) bool {
 		}
 	}
 	return true
+}
+
+// TestRunBackingParity: Run on the dense reference and on its CSR copy
+// must produce identical biclusters — membership, features, feature order
+// and cophenetic correlation compared with ==. Every kernel Run calls
+// (pairwise distances, column statistics, standardized column distances,
+// feature support) sees only RowNonZeros/RowSquaredEuclidean, whose
+// results agree bit for bit across the two types.
+func TestRunBackingParity(t *testing.T) {
+	planted, _ := syntheticAttackMatrix(t, rand.New(rand.NewSource(42)))
+	for name, d := range map[string]*matrix.Dense{
+		"planted": planted,
+		"random":  randomCountMatrix(t, 35, 14, 11),
+	} {
+		weights := make([]float64, d.Rows())
+		for i := range weights {
+			weights[i] = float64(1 + i%4)
+		}
+		want, err := Run(d, weights, Options{})
+		if err != nil {
+			t.Fatalf("%s: dense Run: %v", name, err)
+		}
+		got, err := Run(matrix.NewSparseFromDense(d), weights, Options{})
+		if err != nil {
+			t.Fatalf("%s: sparse Run: %v", name, err)
+		}
+		if want.CopheneticCorrelation != got.CopheneticCorrelation {
+			t.Fatalf("%s: cophenetic %v, want %v", name, got.CopheneticCorrelation, want.CopheneticCorrelation)
+		}
+		if !reflect.DeepEqual(want.RowDendrogram.Merges, got.RowDendrogram.Merges) ||
+			!reflect.DeepEqual(want.ColDendrogram.Merges, got.ColDendrogram.Merges) {
+			t.Fatalf("%s: dendrograms differ", name)
+		}
+		// Bicluster covers membership, weight, Features and FeatureOrder.
+		if !reflect.DeepEqual(want.Biclusters, got.Biclusters) || !reflect.DeepEqual(want.Unclustered, got.Unclustered) {
+			t.Fatalf("%s: biclusters differ:\nwant %+v\ngot  %+v", name, want.Biclusters, got.Biclusters)
+		}
+	}
 }

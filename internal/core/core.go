@@ -64,12 +64,6 @@ type Config struct {
 	// what lets the pipeline scale to the paper's 30,000-sample corpus.
 	// 0 means 2500; negative disables the cap.
 	MaxClusterSamples int
-	// DenseBacking carries the training matrices as dense row-major
-	// storage (the reference implementation) instead of the default
-	// compressed-sparse-row backing. The two produce bit-identical
-	// signatures — the parity tests train both ways and compare — so this
-	// exists for verification, not tuning.
-	DenseBacking bool
 	// MinAttackSamples is the coverage floor for training on a degraded
 	// crawl: Train refuses (ErrInsufficientSamples) when fewer attack
 	// samples arrive, so a mostly-failed crawl cannot silently train a
@@ -292,19 +286,12 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("extractor: %w", err)
 	}
 	ex.SetPrefilter(!cfg.DisablePrefilter)
-	// The training matrix is CSR by default; cfg.DenseBacking selects the
-	// dense reference path, which must produce bit-identical signatures.
-	var full matrix.RowMatrix
-	if cfg.DenseBacking {
-		full, err = ex.MatrixParallel(uniq, cfg.Parallelism)
-	} else {
-		full, err = ex.SparseMatrixParallel(uniq, cfg.Parallelism)
-	}
+	full, err := ex.SparseMatrixParallel(uniq, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("feature matrix: %w", err)
 	}
 	if cfg.BinaryFeatures {
-		feature.BinaryizeInPlace(full)
+		full.Binaryize()
 	}
 	observed, obsSet, _, err := feature.PruneUnobserved(full, *cfg.Catalog)
 	if err != nil {
@@ -367,17 +354,12 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 		normBenign[i] = normalize.Normalize(r.Payload())
 	}
 	benignUniq, benignW := feature.Dedupe(normBenign)
-	var benignMat matrix.RowMatrix
-	if cfg.DenseBacking {
-		benignMat, err = obsEx.MatrixParallel(benignUniq, cfg.Parallelism)
-	} else {
-		benignMat, err = obsEx.SparseMatrixParallel(benignUniq, cfg.Parallelism)
-	}
+	benignMat, err := obsEx.SparseMatrixParallel(benignUniq, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("benign matrix: %w", err)
 	}
 	if cfg.BinaryFeatures {
-		feature.BinaryizeInPlace(benignMat)
+		benignMat.Binaryize()
 	}
 
 	m := &Model{
@@ -482,11 +464,11 @@ func trainSignature(observed matrix.RowMatrix, weights []float64, benignMat matr
 		return nil, err
 	}
 
-	// Stitch the per-signature training matrix block by block in whichever
-	// backing the pipeline runs on: bicluster rows (label 1), incrementally
-	// added samples (label 1), benign corpus (label 0).
+	// Stitch the per-signature CSR training matrix block by block:
+	// bicluster rows (label 1), incrementally added samples (label 1),
+	// benign corpus (label 0).
 	n := attackCols.Rows() + len(extras) + benignCols.Rows()
-	bld := matrix.NewBuilder(len(feats), !cfg.DenseBacking)
+	bld := matrix.NewSparseBuilder(len(feats))
 	y := make([]float64, n)
 	w := make([]float64, n)
 	row := 0

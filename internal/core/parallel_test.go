@@ -35,24 +35,6 @@ func TestTrainParallelParity(t *testing.T) {
 	}
 }
 
-// TestTrainParallelDenseParity runs the same check on the dense reference
-// backing, so both backings are pinned across both axes (backing × workers).
-func TestTrainParallelDenseParity(t *testing.T) {
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 45).Requests(300)
-	benign := traffic.NewGenerator(46).Requests(400)
-
-	serial, err := Train(attacks, benign, Config{Parallelism: 1, DenseBacking: true})
-	if err != nil {
-		t.Fatalf("serial Train: %v", err)
-	}
-	par, err := Train(attacks, benign, Config{Parallelism: 4, DenseBacking: true})
-	if err != nil {
-		t.Fatalf("parallel Train: %v", err)
-	}
-	probes := traffic.NewGenerator(47).Requests(200)
-	requireIdenticalModels(t, "dense-parallel-4", serial, par, probes)
-}
-
 func labelFor(workers int) string {
 	switch workers {
 	case 0:

@@ -12,8 +12,7 @@ import (
 // same signature metadata, features, bias and weights, compared with ==
 // rather than a tolerance. It then replays probe traffic through both and
 // demands identical probabilities verdict for verdict. Shared by the
-// sparse-vs-dense and serial-vs-parallel parity tests, which uphold the
-// same exactness discipline.
+// serial-vs-parallel training and update parity tests.
 func requireIdenticalModels(t *testing.T, label string, want, got *Model, probes []httpx.Request) {
 	t.Helper()
 	if len(want.Signatures) != len(got.Signatures) {
@@ -53,33 +52,6 @@ func requireIdenticalModels(t *testing.T, label string, want, got *Model, probes
 			}
 		}
 	}
-}
-
-// TestTrainBackingParity trains the full pipeline twice on the same corpus —
-// once on the default CSR backing, once on the dense reference — and demands
-// bit-identical signatures. The sparse kernels are written so that they
-// accumulate the same floating-point terms in the same order as the dense
-// code (skipped terms are exact zeros), which is what makes == comparison
-// possible instead of a tolerance.
-func TestTrainBackingParity(t *testing.T) {
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 11).Requests(600)
-	benign := traffic.NewGenerator(12).Requests(800)
-
-	sparse, err := Train(attacks, benign, Config{})
-	if err != nil {
-		t.Fatalf("sparse Train: %v", err)
-	}
-	dense, err := Train(attacks, benign, Config{DenseBacking: true})
-	if err != nil {
-		t.Fatalf("dense Train: %v", err)
-	}
-
-	// The two models must also agree verdict for verdict at serve time.
-	probes := append(
-		attackgen.NewGenerator(attackgen.SQLMapProfile(), 13).Requests(150),
-		traffic.NewGenerator(14).Requests(300)...,
-	)
-	requireIdenticalModels(t, "sparse-vs-dense", sparse, dense, probes)
 }
 
 // TestSparseScoringMatchesDenseScoring pins the serving hot path (sparse

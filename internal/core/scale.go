@@ -35,10 +35,8 @@ func assignLeftovers(bic *cluster.Result, observed matrix.RowMatrix, weights []f
 		used[i] = true
 	}
 
-	// Centroids over the clustered members (weighted means). Accumulating
-	// only a row's nonzeros adds the same terms as the dense loop (the
-	// skipped terms are exact zeros), so both backings build identical
-	// centroids.
+	// Centroids over the clustered members (weighted means), accumulated
+	// from each row's nonzeros.
 	cols := observed.Cols()
 	centroids := make([][]float64, len(bic.Biclusters))
 	for bi := range bic.Biclusters {
@@ -48,14 +46,8 @@ func assignLeftovers(bic *cluster.Result, observed matrix.RowMatrix, weights []f
 			w := weights[l]
 			wsum += w
 			rc, rv := observed.RowNonZeros(l)
-			if rc == nil {
-				for j, v := range rv {
-					c[j] += w * v
-				}
-			} else {
-				for k, j := range rc {
-					c[j] += w * rv[k]
-				}
+			for k, j := range rc {
+				c[j] += w * rv[k]
 			}
 		}
 		if wsum > 0 {
@@ -85,15 +77,12 @@ func assignLeftovers(bic *cluster.Result, observed matrix.RowMatrix, weights []f
 	}
 }
 
-// rowSquaredDistToVec is ‖m[i] − c‖². The sparse branch walks every column
-// in ascending order with a cursor into the row's nonzeros so the terms are
-// accumulated in exactly the dense order (centroids are dense, so the
-// distance itself is inherently O(cols)).
+// rowSquaredDistToVec is ‖m[i] − c‖². It walks every column in ascending
+// order with a cursor into the row's nonzeros, accumulating the terms in
+// column order (centroids are dense, so the distance is inherently
+// O(cols)).
 func rowSquaredDistToVec(m matrix.RowMatrix, i int, c []float64) float64 {
 	cols, vals := m.RowNonZeros(i)
-	if cols == nil {
-		return matrix.SquaredEuclidean(vals, c)
-	}
 	var d float64
 	k := 0
 	for j := range c {

@@ -45,7 +45,7 @@ func Figure2(env *Env, maxSamples int) (ascii, svg string, res *cluster.Result, 
 	if err != nil {
 		return "", "", nil, err
 	}
-	full, err := ex.Matrix(uniq)
+	full, err := ex.SparseMatrix(uniq)
 	if err != nil {
 		return "", "", nil, err
 	}

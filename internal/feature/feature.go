@@ -504,21 +504,8 @@ func (e *Extractor) lookupWord(tok []byte, sc *Scratch) []int {
 	return e.words[string(t)]
 }
 
-// Matrix extracts all samples into an n×d dense count matrix — the
-// reference backing used for parity testing.
-func (e *Extractor) Matrix(samples []string) (*matrix.Dense, error) {
-	m, err := matrix.New(len(samples), len(e.set.Features))
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range samples {
-		e.VectorInto(s, m.Row(i))
-	}
-	return m, nil
-}
-
 // SparseMatrix extracts all samples into an n×d CSR count matrix, storing
-// only the features that fired — the pipeline's working backing.
+// only the features that fired — the pipeline's training backing.
 func (e *Extractor) SparseMatrix(samples []string) (*matrix.Sparse, error) {
 	b := matrix.NewSparseBuilder(len(e.set.Features))
 	for _, s := range samples {
@@ -539,15 +526,7 @@ func PruneUnobserved(m matrix.RowMatrix, set Set) (matrix.RowMatrix, Set, []int,
 	}
 	observed := make([]bool, m.Cols())
 	for i := 0; i < m.Rows(); i++ {
-		cols, vals := m.RowNonZeros(i)
-		if cols == nil {
-			for j, v := range vals {
-				if v != 0 {
-					observed[j] = true
-				}
-			}
-			continue
-		}
+		cols, _ := m.RowNonZeros(i)
 		for _, j := range cols {
 			observed[j] = true
 		}
@@ -587,13 +566,6 @@ func Dedupe(samples []string) (unique []string, weights []float64) {
 	return unique, weights
 }
 
-// BinaryizeInPlace clamps every positive count to 1 — used by the
-// binary-vs-count ablation the paper mentions ("this did not produce good
-// results"). Both matrix backings implement the clamp natively.
-func BinaryizeInPlace(m matrix.RowMatrix) {
-	m.Binaryize()
-}
-
 // PruneDuplicateColumns removes features whose observed count column is
 // identical to an earlier feature's — the "overlapping features" the paper
 // removes on the way from 477 candidates to 159 (two regexes that always
@@ -606,26 +578,13 @@ func PruneDuplicateColumns(m matrix.RowMatrix, set Set) (matrix.RowMatrix, Set, 
 		return nil, Set{}, nil, fmt.Errorf("feature: matrix has %d columns, set %d", m.Cols(), set.Len())
 	}
 	sigs := make([][]byte, m.Cols())
-	appendCell := func(i, j int, v float64) {
-		buf := sigs[j]
-		buf = strconv.AppendInt(buf, int64(i), 10)
-		buf = append(buf, ':')
-		buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
-		buf = append(buf, ',')
-		sigs[j] = buf
-	}
 	for i := 0; i < m.Rows(); i++ {
 		cols, vals := m.RowNonZeros(i)
-		if cols == nil {
-			for j, v := range vals {
-				if v != 0 {
-					appendCell(i, j, v)
-				}
-			}
-			continue
-		}
 		for k, j := range cols {
-			appendCell(i, j, vals[k])
+			buf := strconv.AppendInt(sigs[j], int64(i), 10)
+			buf = append(buf, ':')
+			buf = strconv.AppendFloat(buf, vals[k], 'g', -1, 64)
+			sigs[j] = append(buf, ',')
 		}
 	}
 	seen := make(map[string]bool, m.Cols())

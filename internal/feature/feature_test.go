@@ -150,7 +150,7 @@ func TestNewExtractorErrors(t *testing.T) {
 func TestMatrixShape(t *testing.T) {
 	e := newCatalogExtractor(t)
 	samples := []string{"id=1", "id=1' or 1=1 --", "union select"}
-	m, err := e.Matrix(samples)
+	m, err := e.SparseMatrix(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestPruneUnobserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.Matrix([]string{"select 1 --", "select 2"})
+	m, err := e.SparseMatrix([]string{"select 1 --", "select 2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +239,24 @@ func TestDedupeProperty(t *testing.T) {
 }
 
 func TestBinaryizeInPlace(t *testing.T) {
-	m, _ := matrix.NewFromRows([][]float64{{0, 2, 5}, {1, 0, 3}})
-	BinaryizeInPlace(m)
-	want := [][]float64{{0, 1, 1}, {1, 0, 1}}
+	set := Set{Features: []Feature{
+		{Name: "w", Word: "select"},
+		{Name: "z", Word: "zerofill"},
+		{Name: "p", Pattern: `--`},
+	}}
+	e, err := NewExtractor(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.SparseMatrix([]string{"select select select --", "-- -- --"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.At(0, 0) != 3 || m.At(1, 2) != 3 {
+		t.Fatalf("counts before clamp: (0,0)=%v (1,2)=%v, want 3", m.At(0, 0), m.At(1, 2))
+	}
+	m.Binaryize()
+	want := [][]float64{{1, 0, 1}, {0, 0, 1}}
 	for i := range want {
 		for j := range want[i] {
 			if m.At(i, j) != want[i][j] {
@@ -342,7 +357,7 @@ func TestPruneDuplicateColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := e.Matrix([]string{"select 1 --", "select select"})
+	m, err := e.SparseMatrix([]string{"select 1 --", "select select"})
 	if err != nil {
 		t.Fatal(err)
 	}

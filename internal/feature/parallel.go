@@ -48,35 +48,3 @@ func (e *Extractor) SparseMatrixParallel(samples []string, workers int) (*matrix
 	}
 	return b.Build(), nil
 }
-
-// MatrixParallel is Matrix fanned out the same way: workers claim samples
-// from an atomic counter and extract directly into the sample's own row of
-// the dense matrix — disjoint storage, so no synchronization beyond the
-// claim, and bit-identical output for any worker count.
-func (e *Extractor) MatrixParallel(samples []string, workers int) (*matrix.Dense, error) {
-	workers = matrix.ResolveWorkers(workers, len(samples))
-	if workers <= 1 {
-		return e.Matrix(samples)
-	}
-	m, err := matrix.New(len(samples), len(e.set.Features))
-	if err != nil {
-		return nil, err
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(samples) {
-					return
-				}
-				e.VectorInto(samples[i], m.Row(i))
-			}
-		}()
-	}
-	wg.Wait()
-	return m, nil
-}

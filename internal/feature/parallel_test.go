@@ -50,31 +50,6 @@ func TestSparseMatrixParallelParity(t *testing.T) {
 	}
 }
 
-func TestMatrixParallelParity(t *testing.T) {
-	ex, err := NewExtractor(Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	samples := parallelCorpus()
-	want, err := ex.Matrix(samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range []int{1, 2, 8, 0} {
-		got, err := ex.MatrixParallel(samples, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		for i := 0; i < want.Rows(); i++ {
-			for j := 0; j < want.Cols(); j++ {
-				if got.At(i, j) != want.At(i, j) {
-					t.Fatalf("workers=%d: cell (%d,%d) = %v, want %v", w, i, j, got.At(i, j), want.At(i, j))
-				}
-			}
-		}
-	}
-}
-
 // TestSparseMatrixParallelRandomWorkers is the testing/quick property over
 // random worker counts: any count, including counts far above the sample
 // count, must reproduce the serial matrix exactly.

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"psigene/internal/matrix"
 	"psigene/internal/normalize"
 )
 
@@ -55,16 +56,16 @@ func TestSparseVectorMatchesVector(t *testing.T) {
 	}
 }
 
-// TestSparseMatrixMatchesMatrix checks that the CSR and dense training
-// matrices agree cell for cell.
+// TestSparseMatrixMatchesMatrix checks the CSR training matrix cell for
+// cell against a dense reference built from VectorInto rows.
 func TestSparseMatrixMatchesMatrix(t *testing.T) {
 	ex, err := NewExtractor(Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm, err := ex.Matrix(parityPayloads)
-	if err != nil {
-		t.Fatal(err)
+	dm := matrix.MustNew(len(parityPayloads), ex.Set().Len())
+	for i, p := range parityPayloads {
+		ex.VectorInto(p, dm.Row(i))
 	}
 	sm, err := ex.SparseMatrix(parityPayloads)
 	if err != nil {

@@ -5,11 +5,10 @@
 //
 // The matrices handled here are sample×feature matrices: rows are attack (or
 // benign) samples and columns are feature counts. The paper's corpus is
-// ~85% zeros, so the pipeline's working representation is the compressed
-// sparse row Sparse type; Dense remains as the reference implementation,
-// and both are used through the shared RowMatrix interface so every
-// consumer is backing-agnostic and the two can be parity-tested against
-// each other.
+// ~85% zeros, so the compressed sparse row Sparse type is the pipeline's
+// only training backing. Dense implements the same RowMatrix interface as
+// the kernel-level reference: the parity tests compare every Sparse kernel
+// against it, and display paths (the Figure 2 heat map) densify into it.
 package matrix
 
 import (
@@ -104,10 +103,16 @@ func (m *Dense) RowCopy(i int) []float64 {
 	return out
 }
 
-// RowNonZeros implements RowMatrix with the dense convention: cols is nil
-// and vals is the full row (zeros included), aliasing the matrix storage.
+// RowNonZeros implements RowMatrix by copying out row i's nonzero cells in
+// ascending column order.
 func (m *Dense) RowNonZeros(i int) (cols []int, vals []float64) {
-	return nil, m.Row(i)
+	for j, v := range m.Row(i) {
+		if v != 0 {
+			cols = append(cols, j)
+			vals = append(vals, v)
+		}
+	}
+	return cols, vals
 }
 
 // RowDot returns row i · v.
@@ -206,8 +211,8 @@ type ColStats struct {
 
 // ColumnStats computes the mean and population standard deviation of every
 // column. Dense and Sparse share one accumulation (over nonzero cells, the
-// zero cells' variance contribution folded in per column) so the two
-// backings agree bit for bit.
+// zero cells' variance contribution folded in per column) so the two agree
+// bit for bit.
 func (m *Dense) ColumnStats() ColStats { return columnStats(m) }
 
 // Standardize returns a new matrix with every column z-score standardized:
@@ -307,16 +312,6 @@ func PairwiseDistances(m RowMatrix) *Condensed {
 	n := m.Rows()
 	c := NewCondensed(n)
 	pos := 0
-	if d, ok := m.(*Dense); ok { // fast path: hoist the row slice fetch
-		for i := 0; i < n; i++ {
-			ri := d.Row(i)
-			for j := i + 1; j < n; j++ {
-				c.data[pos] = math.Sqrt(SquaredEuclidean(ri, d.Row(j)))
-				pos++
-			}
-		}
-		return c
-	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			c.data[pos] = math.Sqrt(m.RowSquaredEuclidean(i, j))

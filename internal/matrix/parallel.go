@@ -68,7 +68,6 @@ func PairwiseDistancesParallel(m RowMatrix, workers int) *Condensed {
 	}
 	c := NewCondensed(n)
 	bounds := triangleSplit(n, workers)
-	d, dense := m.(*Dense)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		lo, hi := bounds[g], bounds[g+1]
@@ -79,16 +78,6 @@ func PairwiseDistancesParallel(m RowMatrix, workers int) *Condensed {
 		go func(lo, hi int) {
 			defer wg.Done()
 			pos := condensedRowStart(n, lo)
-			if dense { // fast path: hoist the row slice fetch
-				for i := lo; i < hi; i++ {
-					ri := d.Row(i)
-					for j := i + 1; j < n; j++ {
-						c.data[pos] = math.Sqrt(SquaredEuclidean(ri, d.Row(j)))
-						pos++
-					}
-				}
-				return
-			}
 			for i := lo; i < hi; i++ {
 				for j := i + 1; j < n; j++ {
 					c.data[pos] = math.Sqrt(m.RowSquaredEuclidean(i, j))
@@ -108,7 +97,7 @@ func PairwiseDistancesParallel(m RowMatrix, workers int) *Condensed {
 // additions, so instead every worker scans all selected rows in order but
 // accumulates only the entries it owns. Worker w owns selected column k
 // when k % workers == w, which covers sum[k], sumsq[k], and every Gram
-// pair whose first-iterated element is k. Because both backings emit row
+// pair whose first-iterated element is k. Because RowNonZeros emits row
 // nonzeros in ascending global-column order, the first-iterated element of
 // any column pair is the same in every row, so each Gram entry has exactly
 // one owner and its accumulation order (row-major) matches the serial pass
@@ -166,19 +155,10 @@ func StandardizedColumnDistancesParallel(m RowMatrix, st ColStats, rowIdx, colId
 			accumulate := func(i int) {
 				selCols, selVals = selCols[:0], selVals[:0]
 				cols, vals := m.RowNonZeros(i)
-				if cols == nil {
-					for j, v := range vals {
-						if v != 0 && local[j] >= 0 {
-							selCols = append(selCols, local[j])
-							selVals = append(selVals, v)
-						}
-					}
-				} else {
-					for k, j := range cols {
-						if local[j] >= 0 {
-							selCols = append(selCols, local[j])
-							selVals = append(selVals, vals[k])
-						}
+				for k, j := range cols {
+					if local[j] >= 0 {
+						selCols = append(selCols, local[j])
+						selVals = append(selVals, vals[k])
 					}
 				}
 				for k, lj := range selCols {

@@ -213,21 +213,61 @@ func TestParityBinaryizeAndSparsity(t *testing.T) {
 
 func TestParityBuilder(t *testing.T) {
 	quickCheck(t, func(c parityCase) bool {
-		for _, sparse := range []bool{false, true} {
-			b := NewBuilder(c.dense.Cols(), sparse)
-			for i := 0; i < c.dense.Rows(); i++ {
-				if i%2 == 0 {
-					b.AppendRowOf(c.sparse, i)
-				} else {
-					b.AppendDense(c.dense.Row(i))
-				}
+		b := NewSparseBuilder(c.dense.Cols())
+		for i := 0; i < c.dense.Rows(); i++ {
+			switch i % 3 {
+			case 0:
+				b.AppendRowOf(c.sparse, i)
+			case 1:
+				b.AppendRowOf(c.dense, i)
+			default:
+				b.AppendDense(c.dense.Row(i))
 			}
-			if !matricesEqual(b.Build(), c.dense) {
+		}
+		return matricesEqual(b.Build(), c.dense)
+	})
+}
+
+// TestParityRowNonZeros pins the one RowNonZeros contract every consumer
+// relies on: both types return the row's nonzero cells as identical
+// ascending (cols, vals), including all-zero rows and 0×n matrices.
+func TestParityRowNonZeros(t *testing.T) {
+	rowsEqual := func(a, b RowMatrix) bool {
+		for i := 0; i < a.Rows(); i++ {
+			dc, dv := a.RowNonZeros(i)
+			sc, sv := b.RowNonZeros(i)
+			if len(dc) != len(sc) || len(dv) != len(dc) || len(sv) != len(sc) {
 				return false
+			}
+			for k := range dc {
+				if dc[k] != sc[k] || dv[k] != sv[k] || dv[k] == 0 || (k > 0 && dc[k] <= dc[k-1]) {
+					return false
+				}
 			}
 		}
 		return true
+	}
+	quickCheck(t, func(c parityCase) bool {
+		// Blank one random row so the corpus always holds an all-zero row.
+		z := c.rng.Intn(c.dense.Rows())
+		for j := 0; j < c.dense.Cols(); j++ {
+			c.dense.Set(z, j, 0)
+		}
+		s := NewSparseFromDense(c.dense)
+		if cols, _ := s.RowNonZeros(z); len(cols) != 0 {
+			return false
+		}
+		return rowsEqual(c.dense, s)
 	})
+	empty := MustNew(0, 5)
+	es := NewSparseFromDense(empty)
+	if es.Rows() != 0 || es.Cols() != 5 || !rowsEqual(empty, es) {
+		t.Fatalf("0x5: sparse is %dx%d", es.Rows(), es.Cols())
+	}
+	allZero := MustNew(4, 3)
+	if !rowsEqual(allZero, NewSparseFromDense(allZero)) {
+		t.Fatal("4x3 all-zero matrix: rows differ")
+	}
 }
 
 func matricesEqual(a, b RowMatrix) bool {

@@ -5,24 +5,22 @@ import (
 	"math"
 )
 
-// RowMatrix is the read-mostly row-major matrix abstraction shared by the
-// dense and CSR backings. Every pipeline stage (feature extraction,
-// biclustering, logistic regression, the runtime engine) programs against
-// this interface, so the sample×feature matrix — ~85% zeros in the paper's
-// corpus — can be carried as compressed sparse rows end to end, with Dense
-// kept as the reference implementation for parity testing.
+// RowMatrix is the read-mostly row-major matrix abstraction every pipeline
+// stage (feature extraction, biclustering, logistic regression, the runtime
+// engine) programs against. The pipeline's only backing is the CSR Sparse,
+// which carries the ~85%-zero sample×feature matrix end to end; Dense
+// implements the same interface as the kernel-level reference the parity
+// tests compare against.
 type RowMatrix interface {
 	// Rows and Cols return the matrix dimensions.
 	Rows() int
 	Cols() int
 	// At returns the element at (i, j). It panics out of range.
 	At(i, j int) float64
-	// RowNonZeros exposes the nonzero structure of row i. Sparse backings
-	// return ascending column indices in cols with the matching values in
-	// vals. Dense backings return cols == nil and vals == the full row
-	// (zeros included); callers must branch on that convention. The
-	// returned slices alias internal storage and must not be mutated or
-	// retained across matrix mutations.
+	// RowNonZeros returns row i's nonzero cells: ascending column indices
+	// in cols with the matching values in vals (both empty for an all-zero
+	// row). The returned slices may alias internal storage and must not be
+	// mutated or retained across matrix mutations.
 	RowNonZeros(i int) (cols []int, vals []float64)
 	// RowDot returns the dot product of row i with the dense vector v
 	// (len(v) == Cols()).
@@ -42,12 +40,12 @@ type RowMatrix interface {
 	Sparsity() (zeros, ones float64)
 }
 
-// columnStats is the shared ColumnStats implementation. Both backings use
+// columnStats is the shared ColumnStats implementation. Both types use
 // it so that the accumulation order — row-major over the nonzero cells,
 // with the zero cells' (0-μ)² variance contribution folded in once per
 // column at the end — is bit-for-bit identical between Dense and Sparse.
-// That exactness is what lets the end-to-end parity tests compare trained
-// signatures with ==.
+// That exactness is what lets the consumer parity tests (cluster.Run,
+// ml.TrainLogistic) compare their results with ==.
 func columnStats(m RowMatrix) ColStats {
 	rows, cols := m.Rows(), m.Cols()
 	mean := make([]float64, cols)
@@ -76,18 +74,10 @@ func columnStats(m RowMatrix) ColStats {
 }
 
 // forEachNonZero calls fn(i, j, v) for every nonzero cell, row-major with
-// ascending columns inside each row — the same order for both backings.
+// ascending columns inside each row.
 func forEachNonZero(m RowMatrix, fn func(i, j int, v float64)) {
 	for i := 0; i < m.Rows(); i++ {
 		cols, vals := m.RowNonZeros(i)
-		if cols == nil {
-			for j, v := range vals {
-				if v != 0 {
-					fn(i, j, v)
-				}
-			}
-			continue
-		}
 		for k, j := range cols {
 			fn(i, j, vals[k])
 		}
@@ -96,17 +86,8 @@ func forEachNonZero(m RowMatrix, fn func(i, j int, v float64)) {
 
 // RowNNZ returns the number of nonzero cells in row i.
 func RowNNZ(m RowMatrix, i int) int {
-	cols, vals := m.RowNonZeros(i)
-	if cols != nil {
-		return len(cols)
-	}
-	n := 0
-	for _, v := range vals {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
+	cols, _ := m.RowNonZeros(i)
+	return len(cols)
 }
 
 // StandardizedColumnDistances returns the condensed Euclidean distance
@@ -163,19 +144,10 @@ func StandardizedColumnDistances(m RowMatrix, st ColStats, rowIdx, colIdx []int)
 		}
 		selCols, selVals = selCols[:0], selVals[:0]
 		cols, vals := m.RowNonZeros(i)
-		if cols == nil {
-			for j, v := range vals {
-				if v != 0 && local[j] >= 0 {
-					selCols = append(selCols, local[j])
-					selVals = append(selVals, v)
-				}
-			}
-		} else {
-			for k, j := range cols {
-				if local[j] >= 0 {
-					selCols = append(selCols, local[j])
-					selVals = append(selVals, vals[k])
-				}
+		for k, j := range cols {
+			if local[j] >= 0 {
+				selCols = append(selCols, local[j])
+				selVals = append(selVals, vals[k])
 			}
 		}
 		for k, lj := range selCols {
@@ -241,81 +213,13 @@ func StandardizedColumnDistances(m RowMatrix, st ColStats, rowIdx, colIdx []int)
 // ToDense materializes any RowMatrix as a Dense copy. Intended for display
 // and reference paths, never for the serving pipeline.
 func ToDense(m RowMatrix) *Dense {
-	if d, ok := m.(*Dense); ok {
-		return d.Clone()
-	}
 	out := MustNew(m.Rows(), m.Cols())
 	for i := 0; i < m.Rows(); i++ {
 		cols, vals := m.RowNonZeros(i)
 		row := out.Row(i)
-		if cols == nil {
-			copy(row, vals)
-			continue
-		}
 		for k, j := range cols {
 			row[j] = vals[k]
 		}
 	}
 	return out
-}
-
-// Builder incrementally assembles a RowMatrix with a fixed column count,
-// preserving the chosen backing. It is how training matrices are stitched
-// together from attack, extra, and benign blocks without densifying.
-type Builder struct {
-	cols   int
-	sparse *SparseBuilder
-	dense  []float64
-	rows   int
-}
-
-// NewBuilder returns a builder producing a Sparse matrix when sparse is
-// true, a Dense one otherwise.
-func NewBuilder(cols int, sparse bool) *Builder {
-	b := &Builder{cols: cols}
-	if sparse {
-		b.sparse = NewSparseBuilder(cols)
-	}
-	return b
-}
-
-// AppendDense appends one row given as a full-width value slice (copied).
-func (b *Builder) AppendDense(row []float64) {
-	if len(row) != b.cols {
-		panic(fmt.Sprintf("matrix: append row of %d values to %d-column builder", len(row), b.cols))
-	}
-	if b.sparse != nil {
-		b.sparse.AppendDense(row)
-		return
-	}
-	b.dense = append(b.dense, row...)
-	b.rows++
-}
-
-// AppendRowOf appends row i of m, preserving sparsity when both sides are
-// sparse.
-func (b *Builder) AppendRowOf(m RowMatrix, i int) {
-	cols, vals := m.RowNonZeros(i)
-	if cols == nil {
-		b.AppendDense(vals)
-		return
-	}
-	if b.sparse != nil {
-		b.sparse.appendSorted(cols, vals)
-		return
-	}
-	row := make([]float64, b.cols)
-	for k, j := range cols {
-		row[j] = vals[k]
-	}
-	b.dense = append(b.dense, row...)
-	b.rows++
-}
-
-// Build returns the assembled matrix. The builder must not be reused.
-func (b *Builder) Build() RowMatrix {
-	if b.sparse != nil {
-		return b.sparse.Build()
-	}
-	return &Dense{rows: b.rows, cols: b.cols, data: b.dense}
 }

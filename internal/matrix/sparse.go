@@ -12,8 +12,8 @@ import (
 // uses for the paper's ~85%-zero sample×feature matrices and for the
 // (sparsest of all) benign serving traffic.
 //
-// Sparse implements RowMatrix; Dense is the reference implementation the
-// parity tests compare against.
+// Sparse is the only backing the training pipeline builds; Dense is the
+// reference implementation the parity tests compare it against.
 type Sparse struct {
 	rows, cols int
 	rowPtr     []int     // len rows+1; row i occupies [rowPtr[i], rowPtr[i+1])
@@ -65,22 +65,6 @@ func NewSparseFromDense(d *Dense) *Sparse {
 	return b.Build()
 }
 
-// NewSparseFromRows builds a CSR matrix from equal-length dense rows.
-func NewSparseFromRows(rows [][]float64) (*Sparse, error) {
-	if len(rows) == 0 {
-		return &Sparse{rowPtr: []int{0}}, nil
-	}
-	cols := len(rows[0])
-	b := NewSparseBuilder(cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("matrix: row %d has %d columns, want %d", i, len(r), cols)
-		}
-		b.AppendDense(r)
-	}
-	return b.Build(), nil
-}
-
 // Rows returns the number of rows.
 func (s *Sparse) Rows() int { return s.rows }
 
@@ -103,26 +87,14 @@ func (s *Sparse) At(i, j int) float64 {
 	return 0
 }
 
-// emptyCols/emptyVals keep RowNonZeros from ever returning a nil cols
-// slice — nil is the dense convention, and a matrix with no nonzeros at all
-// has a nil colIdx whose subslices would otherwise be nil too.
-var (
-	emptyCols = []int{}
-	emptyVals = []float64{}
-)
-
 // RowNonZeros implements RowMatrix; the returned slices alias the CSR
-// storage. cols is never nil, even for an empty row.
+// storage.
 func (s *Sparse) RowNonZeros(i int) (cols []int, vals []float64) {
 	if i < 0 || i >= s.rows {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, s.rows))
 	}
 	lo, hi := s.rowPtr[i], s.rowPtr[i+1]
-	cols, vals = s.colIdx[lo:hi], s.vals[lo:hi]
-	if cols == nil {
-		cols, vals = emptyCols, emptyVals
-	}
-	return cols, vals
+	return s.colIdx[lo:hi], s.vals[lo:hi]
 }
 
 // RowDot returns row i · v in O(nnz) time.
@@ -258,9 +230,6 @@ func (s *Sparse) Sparsity() (zeros, ones float64) {
 	return float64(total-len(s.vals)) / n, float64(o) / n
 }
 
-// ToDense materializes the matrix densely (reference/display paths only).
-func (s *Sparse) ToDense() *Dense { return ToDense(s) }
-
 // SparseBuilder assembles a Sparse matrix row by row.
 type SparseBuilder struct {
 	cols   int
@@ -309,6 +278,18 @@ func (b *SparseBuilder) AppendSparse(cols []int, vals []float64) error {
 	}
 	b.appendSorted(cols, vals)
 	return nil
+}
+
+// AppendRowOf appends row i of m. RowNonZeros already yields ascending,
+// in-range, nonzero columns, so unlike AppendSparse the row is copied
+// without revalidation — this is how per-signature training matrices are
+// stitched together from attack and benign blocks.
+func (b *SparseBuilder) AppendRowOf(m RowMatrix, i int) {
+	if m.Cols() != b.cols {
+		panic(fmt.Sprintf("matrix: append row of a %d-column matrix to %d-column builder", m.Cols(), b.cols))
+	}
+	cols, vals := m.RowNonZeros(i)
+	b.appendSorted(cols, vals)
 }
 
 // appendSorted appends pre-validated ascending (cols, vals) pairs.

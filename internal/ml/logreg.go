@@ -171,17 +171,10 @@ func TrainLogistic(x matrix.RowMatrix, y, w []float64, opts TrainOptions) (*Logi
 			grad[0] += r
 			diag[0] += s
 			cols, vals := x.RowNonZeros(i)
-			if cols == nil {
-				for j, v := range vals {
-					grad[j+1] += r * v
-					diag[j+1] += s * v * v
-				}
-			} else {
-				for k, j := range cols {
-					v := vals[k]
-					grad[j+1] += r * v
-					diag[j+1] += s * v * v
-				}
+			for k, j := range cols {
+				v := vals[k]
+				grad[j+1] += r * v
+				diag[j+1] += s * v * v
 			}
 		}
 		for j := 1; j <= d; j++ {
@@ -203,14 +196,8 @@ func TrainLogistic(x matrix.RowMatrix, y, w []float64, opts TrainOptions) (*Logi
 				s := w[i] * p[i] * (1 - p[i]) * xv
 				out[0] += s
 				cols, vals := x.RowNonZeros(i)
-				if cols == nil {
-					for j, rv := range vals {
-						out[j+1] += s * rv
-					}
-				} else {
-					for k, j := range cols {
-						out[j+1] += s * vals[k]
-					}
+				for k, j := range cols {
+					out[j+1] += s * vals[k]
 				}
 			}
 			for j := 1; j <= d; j++ {

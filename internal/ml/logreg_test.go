@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -287,4 +288,65 @@ func TestOptimumHasZeroGradient(t *testing.T) {
 			t.Fatalf("gradient[%d]=%v at the reported optimum", j, grad)
 		}
 	}
+}
+
+// TestTrainLogisticBackingParity: TrainLogistic and Prune on the dense
+// reference and on its CSR copy must agree with == on the bias, every
+// weight and the kept feature set. The solver touches the matrix only
+// through RowDot and RowNonZeros, which skip exactly the zero terms.
+func TestTrainLogisticBackingParity(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n, d = 300, 8
+	rows := make([][]float64, n)
+	y := make([]float64, n)
+	w := make([]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, d)
+		for j := range rows[i] {
+			if rng.Float64() < 0.2 {
+				rows[i][j] = float64(1 + rng.Intn(4))
+			}
+		}
+		if rows[i][0]+rows[i][1]+rng.NormFloat64() > 1.5 {
+			y[i] = 1
+		}
+		w[i] = float64(1 + i%3)
+	}
+	dense, _ := matrix.NewFromRows(rows)
+	sparse := matrix.NewSparseFromDense(dense)
+	dm, err := TrainLogistic(dense, y, w, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := TrainLogistic(sparse, y, w, TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameModel := func(stage string, a, b *LogisticModel) {
+		t.Helper()
+		if a.Bias != b.Bias || len(a.Weights) != len(b.Weights) {
+			t.Fatalf("%s: bias %v (%d weights), want %v (%d weights)", stage, b.Bias, len(b.Weights), a.Bias, len(a.Weights))
+		}
+		for j := range a.Weights {
+			if a.Weights[j] != b.Weights[j] {
+				t.Fatalf("%s: weight %d = %v, want %v", stage, j, b.Weights[j], a.Weights[j])
+			}
+		}
+	}
+	sameModel("train", dm, sm)
+	dp, err := Prune(dense, y, w, dm, TrainOptions{}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := Prune(sparse, y, w, sm, TrainOptions{}, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dp.Kept) == d {
+		t.Fatal("prune kept every feature; the refit path is not exercised")
+	}
+	if !reflect.DeepEqual(dp.Kept, sp.Kept) || !reflect.DeepEqual(dp.Dropped, sp.Dropped) {
+		t.Fatalf("prune kept %v dropped %v, want %v dropped %v", sp.Kept, sp.Dropped, dp.Kept, dp.Dropped)
+	}
+	sameModel("prune", dp.Model, sp.Model)
 }
