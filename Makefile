@@ -53,7 +53,7 @@ race: race-parallel
 # design; `go test ./...` never builds testdata directories, so they are
 # excluded from this pass by construction.
 race-parallel:
-	$(GO) test -race -timeout 20m -run 'Parallel|Prefilter|Session' ./internal/...
+	$(GO) test -race -timeout 20m -run 'Parallel|Prefilter|Session|Update' ./internal/...
 	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/ ./internal/resilience/ ./internal/admission/ ./internal/fleet/
 	$(GO) test -race -timeout 20m -count=1 -run 'Chaos|Reload|Lifecycle|Canary' ./internal/gateway/ ./internal/lifecycle/
 

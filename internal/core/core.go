@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"psigene/internal/cluster"
 	"psigene/internal/feature"
@@ -69,14 +68,6 @@ type Config struct {
 	// samples arrive, so a mostly-failed crawl cannot silently train a
 	// near-empty model. 0 means 1 (any non-empty corpus trains).
 	MinAttackSamples int
-	// DisablePrefilter turns off the Aho-Corasick literal prefilter in
-	// front of the catalog regexes (feature.Extractor's staged fast path)
-	// for this model's extractors, both at training time and in the model
-	// it produces. The prefilter is a pure gating optimization — vectors,
-	// scores, and trained coefficients are bit-identical either way, which
-	// the parity tests enforce — so this exists for verification and
-	// benchmark baselines, not tuning.
-	DisablePrefilter bool
 	// Parallelism is the worker count for the training pipeline: feature
 	// extraction, the distance kernels inside biclustering, and the
 	// per-bicluster logistic regressions. 0 means GOMAXPROCS, 1 forces the
@@ -133,36 +124,27 @@ type Signature struct {
 	Threshold float64
 
 	// The sparse-scoring index: a dense observed-column → weight table
-	// (with a presence mask — absent columns must contribute nothing, not
-	// a zero term, for bit-identity with Probability) plus the alert label,
-	// both built once off the hot path.
+	// (with a presence mask, so columns outside Features contribute
+	// nothing) plus the alert label, both built once off the hot path.
 	indexOnce sync.Once
 	colWeight []float64
 	colUsed   []bool
 	label     string
 }
 
-// Probability evaluates the signature on a full observed-feature vector.
-func (s *Signature) Probability(full []float64) float64 {
-	x := make([]float64, len(s.Features))
-	for i, j := range s.Features {
-		x[i] = full[j]
-	}
-	return s.Model.Predict(x)
-}
-
 // ProbabilitySparse evaluates the signature on a sparse observed-feature
 // vector (ascending column indices with their nonzero counts). Cost is
 // O(request nonzeros): each firing feature indexes the signature's dense
 // column→weight table, so benign traffic — which fires almost nothing —
-// is scored almost for free, with no per-call allocation. This is the
-// serving hot path.
+// is scored almost for free, with no per-call allocation. Every scorer —
+// serving, threshold tuning, incremental assignment, the ROC figures —
+// goes through it.
 func (s *Signature) ProbabilitySparse(cols []int, vals []float64) float64 {
 	s.buildIndex()
-	// Accumulate the dot product first and add the bias afterwards — the
-	// same association Probability uses — and walk cols ascending with a
-	// presence check, the same terms in the same order as the map-based
-	// walk this replaces, so both paths produce identical bits.
+	// Accumulate the dot product first and add the bias afterwards, the
+	// association ml.LogisticModel.Predict uses. Features are ascending,
+	// so walking cols ascending adds Predict's nonzero terms in Predict's
+	// order and both produce identical bits.
 	var dot float64
 	w, used := s.colWeight, s.colUsed
 	for k, j := range cols {
@@ -215,7 +197,6 @@ type Model struct {
 
 	extractor *feature.Extractor
 	binary    bool
-	threshold float64
 
 	// Retained training state for incremental updates (Experiment 2).
 	cfg           Config
@@ -226,11 +207,13 @@ type Model struct {
 	extra         map[int][]extraSample // bicluster ID -> appended samples
 }
 
-// extraSample is one incrementally added attack sample: its observed
-// feature vector and multiplicity.
+// extraSample is one incrementally added attack sample: its sparse
+// observed-feature vector (ascending columns with their nonzero values)
+// and multiplicity.
 type extraSample struct {
-	vec []float64
-	w   float64
+	cols []int
+	vals []float64
+	w    float64
 }
 
 var _ ids.Detector = (*Model)(nil)
@@ -285,7 +268,6 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("extractor: %w", err)
 	}
-	ex.SetPrefilter(!cfg.DisablePrefilter)
 	full, err := ex.SparseMatrixParallel(uniq, cfg.Parallelism)
 	if err != nil {
 		return nil, fmt.Errorf("feature matrix: %w", err)
@@ -307,7 +289,6 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("observed extractor: %w", err)
 	}
-	obsEx.SetPrefilter(!cfg.DisablePrefilter)
 	zeroFrac, oneFrac := observed.Sparsity()
 
 	// Phase 3: biclustering, on a capped subsample when the unique corpus
@@ -377,7 +358,6 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 		},
 		extractor:     obsEx,
 		binary:        cfg.BinaryFeatures,
-		threshold:     cfg.Threshold,
 		cfg:           cfg,
 		trainObserved: observed,
 		trainWeights:  weights,
@@ -386,7 +366,7 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 		extra:         make(map[int][]extraSample),
 	}
 
-	sigs, err := trainSignatures(observed, weights, benignMat, benignW, bic.ActiveBiclusters(), cfg)
+	sigs, err := trainSignatures(observed, weights, benignMat, benignW, bic.ActiveBiclusters(), nil, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -395,51 +375,6 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 		return nil, errors.New("core: biclustering produced no active clusters")
 	}
 	return m, nil
-}
-
-// trainSignatures fits one logistic signature per active bicluster,
-// concurrently when cfg.Parallelism allows. Each bicluster's problem is
-// independent — trainSignature only reads the shared matrices — and every
-// result lands in its bicluster's preassigned slot, so signature order
-// and every trained coefficient are identical to the serial loop. Errors
-// are reported for the lowest bicluster index that failed, matching the
-// serial loop's first-error semantics.
-func trainSignatures(observed matrix.RowMatrix, weights []float64, benignMat matrix.RowMatrix, benignW []float64, active []cluster.Bicluster, cfg Config) ([]*Signature, error) {
-	workers := matrix.ResolveWorkers(cfg.Parallelism, len(active))
-	sigs := make([]*Signature, len(active))
-	if workers <= 1 {
-		for i, b := range active {
-			sig, err := trainSignature(observed, weights, benignMat, benignW, b, nil, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("signature %d: %w", b.ID, err)
-			}
-			sigs[i] = sig
-		}
-		return sigs, nil
-	}
-	errs := make([]error, len(active))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(active) {
-					return
-				}
-				sigs[i], errs[i] = trainSignature(observed, weights, benignMat, benignW, active[i], nil, cfg)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("signature %d: %w", active[i].ID, err)
-		}
-	}
-	return sigs, nil
 }
 
 // trainSignature fits the bicluster's logistic model: bicluster samples
@@ -478,12 +413,25 @@ func trainSignature(observed matrix.RowMatrix, weights []float64, benignMat matr
 		w[row] = weights[b.RowLeaves[i]]
 		row++
 	}
-	scratch := make([]float64, len(feats))
+	var lcols []int
+	var lvals []float64
 	for _, e := range extras {
-		for k, j := range feats {
-			scratch[k] = e.vec[j]
+		// Map the row's global observed columns onto the signature's local
+		// ones. Both lists ascend, so one merge pass keeps the order.
+		lcols, lvals = lcols[:0], lvals[:0]
+		k := 0
+		for n, j := range e.cols {
+			for k < len(feats) && feats[k] < j {
+				k++
+			}
+			if k < len(feats) && feats[k] == j {
+				lcols = append(lcols, k)
+				lvals = append(lvals, e.vals[n])
+			}
 		}
-		bld.AppendDense(scratch)
+		if err := bld.AppendSparse(lcols, lvals); err != nil {
+			return nil, err
+		}
 		y[row] = 1
 		w[row] = e.w
 		row++
@@ -526,28 +474,20 @@ func (m *Model) Name() string {
 	return fmt.Sprintf("pSigene(%d signatures)", len(m.Signatures))
 }
 
-// Vector runs phase-2 extraction on one request: normalize the payload and
-// count every observed feature (the paper's count_all over each signature's
-// regexes, done once for all). It returns the full dense observed-feature
-// vector; the serving hot path uses SparseVector instead.
-func (m *Model) Vector(req httpx.Request) []float64 {
-	v := m.extractor.Vector(normalize.Normalize(req.Payload()))
-	if m.binary {
-		for i, x := range v {
-			if x != 0 {
-				v[i] = 1
-			}
-		}
-	}
-	return v
+// SparseVector runs phase-2 extraction on one request: normalize the payload
+// and count every observed feature (the paper's count_all over each
+// signature's regexes, done once for all). It returns only the features that
+// fired: ascending observed-column indices with their counts. Allocation is
+// O(nonzeros), which for benign traffic is typically a handful of entries
+// out of the full observed set.
+func (m *Model) SparseVector(req httpx.Request) (cols []int, vals []float64) {
+	return m.sparseVector(normalize.Normalize(req.Payload()))
 }
 
-// SparseVector runs phase-2 extraction on one request and returns only the
-// features that fired: ascending observed-column indices with their counts.
-// Allocation is O(nonzeros), which for benign traffic is typically a handful
-// of entries out of the full observed set.
-func (m *Model) SparseVector(req httpx.Request) (cols []int, vals []float64) {
-	cols, vals = m.extractor.SparseVector(normalize.Normalize(req.Payload()))
+// sparseVector extracts one normalized sample, clamping counts to presence
+// flags on a BinaryFeatures model.
+func (m *Model) sparseVector(sample string) (cols []int, vals []float64) {
+	cols, vals = m.extractor.SparseVector(sample)
 	if m.binary {
 		for i := range vals {
 			vals[i] = 1
@@ -650,10 +590,9 @@ func (s *Session) Close() {
 	s.ss, s.fs = nil, nil
 }
 
-// SetPrefilter toggles the extractor's literal prefilter at serving time
-// (Config.DisablePrefilter is the training-time knob). Verdicts and scores
-// are bit-identical either way; the parity tests flip this on a trained
-// model and compare.
+// SetPrefilter toggles the extractor's literal prefilter. Verdicts and
+// scores are bit-identical either way; the parity tests flip this on a
+// trained model and compare.
 func (m *Model) SetPrefilter(enabled bool) { m.extractor.SetPrefilter(enabled) }
 
 // PrefilterEnabled reports whether the literal prefilter is active.
@@ -695,7 +634,6 @@ func (m *Model) WithSignatures(idSet []int) (*Model, error) {
 // SetThreshold overrides the decision threshold on every signature (used
 // for ROC sweeps).
 func (m *Model) SetThreshold(t float64) {
-	m.threshold = t
 	for _, s := range m.Signatures {
 		s.Threshold = t
 	}

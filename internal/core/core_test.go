@@ -260,8 +260,9 @@ func TestBinaryFeatureAblation(t *testing.T) {
 	if len(m.Signatures) == 0 {
 		t.Fatal("binary ablation produced no signatures")
 	}
-	for _, v := range m.Vector(attacks[0]) {
-		if v != 0 && v != 1 {
+	_, vals := m.SparseVector(attacks[0])
+	for _, v := range vals {
+		if v != 1 {
 			t.Fatalf("binary mode emitted count %v", v)
 		}
 	}

@@ -6,7 +6,9 @@ import (
 	"testing/quick"
 
 	"psigene/internal/attackgen"
+	"psigene/internal/feature"
 	"psigene/internal/httpx"
+	"psigene/internal/normalize"
 	"psigene/internal/traffic"
 )
 
@@ -19,30 +21,47 @@ func fastpathProbes() []httpx.Request {
 	return append(probes, traffic.NewGenerator(33).Requests(500)...)
 }
 
-// TestPrefilterTrainParity trains the full pipeline twice — literal
-// prefilter on (the default) and off — and demands bit-identical models.
-// The prefilter only decides which regexes run; every regex it skips is
-// one that cannot match, so the extracted matrices are equal and training
-// is equal to the last bit.
+// TestPrefilterTrainParity checks the one place the literal prefilter
+// touches training: feature extraction. Over the same normalized, deduped
+// corpus a gated and an ungated catalog extractor must build identical
+// CSR matrices. The prefilter only decides which regexes run, and every
+// regex it skips is one that cannot match, so everything trained from the
+// matrix is equal to the last bit.
 func TestPrefilterTrainParity(t *testing.T) {
-	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 41).Requests(600)
-	benign := traffic.NewGenerator(42).Requests(800)
+	reqs := append(
+		attackgen.NewGenerator(attackgen.CrawlProfile(), 41).Requests(600),
+		traffic.NewGenerator(42).Requests(800)...,
+	)
+	norm := make([]string, len(reqs))
+	for i, r := range reqs {
+		norm[i] = normalize.Normalize(r.Payload())
+	}
+	uniq, _ := feature.Dedupe(norm)
 
-	gated, err := Train(attacks, benign, Config{})
+	gated, err := feature.NewExtractor(feature.Catalog())
 	if err != nil {
-		t.Fatalf("Train (prefilter on): %v", err)
+		t.Fatal(err)
 	}
 	if !gated.PrefilterEnabled() {
-		t.Fatal("default-config model does not have the prefilter enabled")
+		t.Fatal("a new extractor does not have the prefilter enabled")
 	}
-	plain, err := Train(attacks, benign, Config{DisablePrefilter: true})
+	plain, err := feature.NewExtractor(feature.Catalog())
 	if err != nil {
-		t.Fatalf("Train (prefilter off): %v", err)
+		t.Fatal(err)
 	}
-	if plain.PrefilterEnabled() {
-		t.Fatal("DisablePrefilter model still has the prefilter enabled")
+	plain.SetPrefilter(false)
+
+	want, err := plain.SparseMatrixParallel(uniq, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	requireIdenticalModels(t, "prefilter-vs-plain", gated, plain, fastpathProbes())
+	got, err := gated.SparseMatrixParallel(uniq, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("gated and ungated extractors built different training matrices")
+	}
 }
 
 // TestPrefilterServeParity flips the prefilter on one trained model and

@@ -3,12 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"psigene/internal/cluster"
 	"psigene/internal/httpx"
-	"psigene/internal/matrix"
 	"psigene/internal/normalize"
 )
 
@@ -45,38 +42,24 @@ func (m *Model) Update(newAttacks []httpx.Request) error {
 
 	touched := make(map[int]bool)
 	for _, s := range order {
-		vec := m.extractor.Vector(s)
-		if m.binary {
-			for i, x := range vec {
-				if x != 0 {
-					vec[i] = 1
-				}
-			}
-		}
+		cols, vals := m.sparseVector(s)
 		best, bestP := -1, -1.0
 		for _, sig := range m.Signatures {
-			if p := sig.Probability(vec); p > bestP {
+			if p := sig.ProbabilitySparse(cols, vals); p > bestP {
 				best, bestP = sig.ID, p
 			}
 		}
 		if best < 0 {
 			continue
 		}
-		m.extra[best] = append(m.extra[best], extraSample{vec: vec, w: counts[s]})
+		m.extra[best] = append(m.extra[best], extraSample{cols: cols, vals: vals, w: counts[s]})
 		touched[best] = true
 	}
 
-	// Retrain Θ for every signature that received samples. Each touched
-	// signature is an independent shard — trainSignature only reads the
-	// shared matrices — so the retrains fan out over Config.Parallelism
-	// workers exactly like the initial trainSignatures pass: results land
-	// in preassigned slots and errors report for the lowest shard index,
-	// so the updated model is bit-identical at every worker count.
-	type shard struct {
-		idx int // index into m.Signatures
-		b   cluster.Bicluster
-	}
-	var shards []shard
+	// Retrain Θ for every signature that received samples, through the
+	// same sharded pool as the initial training pass.
+	var idx []int // indices into m.Signatures
+	var bics []cluster.Bicluster
 	for i, sig := range m.Signatures {
 		if !touched[sig.ID] {
 			continue
@@ -85,42 +68,16 @@ func (m *Model) Update(newAttacks []httpx.Request) error {
 		if !ok {
 			return fmt.Errorf("core: bicluster %d missing from clustering result", sig.ID)
 		}
-		shards = append(shards, shard{idx: i, b: b})
+		idx = append(idx, i)
+		bics = append(bics, b)
 	}
-	retrained := make([]*Signature, len(shards))
-	errs := make([]error, len(shards))
-	workers := matrix.ResolveWorkers(m.cfg.Parallelism, len(shards))
-	if workers <= 1 {
-		for k, sh := range shards {
-			retrained[k], errs[k] = trainSignature(m.trainObserved, m.trainWeights, m.benignMat, m.benignW, sh.b, m.extra[sh.b.ID], m.cfg)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(shards) {
-						return
-					}
-					sh := shards[k]
-					retrained[k], errs[k] = trainSignature(m.trainObserved, m.trainWeights, m.benignMat, m.benignW, sh.b, m.extra[sh.b.ID], m.cfg)
-				}
-			}()
-		}
-		wg.Wait()
+	retrained, err := trainSignatures(m.trainObserved, m.trainWeights, m.benignMat, m.benignW, bics, m.extra, m.cfg)
+	if err != nil {
+		return fmt.Errorf("retrain: %w", err)
 	}
-	for k, err := range errs {
-		if err != nil {
-			return fmt.Errorf("retrain signature %d: %w", shards[k].b.ID, err)
-		}
-	}
-	for k, sh := range shards {
-		retrained[k].Threshold = m.Signatures[sh.idx].Threshold // preserve any ROC tuning
-		m.Signatures[sh.idx] = retrained[k]
+	for k, i := range idx {
+		retrained[k].Threshold = m.Signatures[i].Threshold // preserve any ROC tuning
+		m.Signatures[i] = retrained[k]
 	}
 	m.Stats.AttackSamples += len(newAttacks)
 	return nil

@@ -54,9 +54,10 @@ func requireIdenticalModels(t *testing.T, label string, want, got *Model, probes
 	}
 }
 
-// TestSparseScoringMatchesDenseScoring pins the serving hot path (sparse
-// feature vector + per-signature weight index) to the dense reference
-// (full vector + restricted dot product) on one trained model.
+// TestSparseScoringMatchesDenseScoring pins the one scorer (sparse feature
+// vector + per-signature weight index) to a dense reference: the logistic
+// model's Predict over the signature's features gathered from the full
+// count vector.
 func TestSparseScoringMatchesDenseScoring(t *testing.T) {
 	m := smallModel(t)
 	probes := append(
@@ -64,10 +65,17 @@ func TestSparseScoringMatchesDenseScoring(t *testing.T) {
 		traffic.NewGenerator(22).Requests(400)...,
 	)
 	for _, req := range probes {
-		full := m.Vector(req)
 		cols, vals := m.SparseVector(req)
+		full := make([]float64, m.Features.Len())
+		for k, j := range cols {
+			full[j] = vals[k]
+		}
 		for _, s := range m.Signatures {
-			dense := s.Probability(full)
+			x := make([]float64, len(s.Features))
+			for i, j := range s.Features {
+				x[i] = full[j]
+			}
+			dense := s.Model.Predict(x)
 			sparse := s.ProbabilitySparse(cols, vals)
 			if dense != sparse {
 				t.Fatalf("signature %d on %q: dense %v, sparse %v", s.ID, req.Payload(), dense, sparse)

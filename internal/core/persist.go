@@ -76,7 +76,7 @@ func decode(r io.Reader) (*Model, error) {
 	if in.Version != modelVersion {
 		return nil, fmt.Errorf("core: unsupported model version %d", in.Version)
 	}
-	m := &Model{Stats: in.Stats, binary: in.Binary, threshold: 0.5}
+	m := &Model{Stats: in.Stats, binary: in.Binary}
 	for _, f := range in.Features {
 		m.Features.Features = append(m.Features.Features, feature.Feature{
 			Name: f.Name, Source: feature.Source(f.Source), Word: f.Word, Pattern: f.Pattern,

@@ -36,19 +36,19 @@ func (m *Model) TuneThresholds(validation []httpx.Request, targetFPR float64) ([
 		return nil, errors.New("core: validation set needs both attack and benign requests")
 	}
 
-	vectors := make([][]float64, len(validation))
-	for i, r := range validation {
-		vectors[i] = m.Vector(r)
+	benignProbs := make([][]float64, 0, nBenign)
+	for _, r := range validation {
+		if !r.Malicious {
+			benignProbs = append(benignProbs, m.Probabilities(r))
+		}
 	}
 
 	maxFP := int(targetFPR * float64(nBenign))
 	out := make([]float64, len(m.Signatures))
 	for si, s := range m.Signatures {
-		var benignScores []float64
-		for i, r := range validation {
-			if !r.Malicious {
-				benignScores = append(benignScores, s.Probability(vectors[i]))
-			}
+		benignScores := make([]float64, len(benignProbs))
+		for i, probs := range benignProbs {
+			benignScores[i] = probs[si]
 		}
 		sort.Float64s(benignScores)
 		// The threshold must exceed all but the top maxFP benign scores.

@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"psigene/internal/httpx"
+	"psigene/internal/resilience"
 )
 
 // ErrStop is returned by a checkpoint callback to halt the crawl cleanly.
@@ -49,7 +50,7 @@ type Checkpoint struct {
 	// Health carries the crawl's resilience counters so far.
 	Health Health `json:"health"`
 	// Breakers is the per-host circuit-breaker state.
-	Breakers map[string]BreakerSnapshot `json:"breakers,omitempty"`
+	Breakers map[string]resilience.BreakerSnapshot `json:"breakers,omitempty"`
 }
 
 // Encode writes the checkpoint as JSON.
@@ -177,7 +178,7 @@ func (c *Crawler) checkpoint(st *crawlState) *Checkpoint {
 	}
 	cp.Health.Quarantined = append([]string(nil), st.res.Health.Quarantined...)
 	if len(c.breakers) > 0 {
-		cp.Breakers = make(map[string]BreakerSnapshot, len(c.breakers))
+		cp.Breakers = make(map[string]resilience.BreakerSnapshot, len(c.breakers))
 		hosts := make([]string, 0, len(c.breakers))
 		for h := range c.breakers {
 			hosts = append(hosts, h)
@@ -191,7 +192,7 @@ func (c *Crawler) checkpoint(st *crawlState) *Checkpoint {
 }
 
 // restoreBreakers installs checkpointed breaker state into the crawler.
-func (c *Crawler) restoreBreakers(snaps map[string]BreakerSnapshot) {
+func (c *Crawler) restoreBreakers(snaps map[string]resilience.BreakerSnapshot) {
 	for host, s := range snaps {
 		c.breakerFor(host).Restore(s)
 	}

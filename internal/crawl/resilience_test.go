@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"psigene/internal/resilience"
 )
 
 func TestParseRetryAfter(t *testing.T) {
@@ -224,7 +226,7 @@ func TestCheckpointJSONRoundTrip(t *testing.T) {
 		SeenSamples: []string{"http://t/a?id=1"},
 		CVEs:        []string{"CVE-2012-3554"},
 		Health:      Health{PagesFetched: 1, Retries: 2},
-		Breakers:    map[string]BreakerSnapshot{"p:80": {State: BreakerOpen, Remaining: 3}},
+		Breakers:    map[string]resilience.BreakerSnapshot{"p:80": {State: resilience.BreakerOpen, Remaining: 3}},
 	}
 	var b strings.Builder
 	if err := cp.Encode(&b); err != nil {

@@ -80,17 +80,17 @@ func Figure3(env *Env) ([]SignatureROC, error) {
 	reqs = append(reqs, env.BenignTest...)
 
 	labels := make([]bool, len(reqs))
-	vectors := make([][]float64, len(reqs))
+	probs := make([][]float64, len(reqs))
 	for i, r := range reqs {
 		labels[i] = r.Malicious
-		vectors[i] = env.Model9.Vector(r)
+		probs[i] = env.Model9.Probabilities(r)
 	}
 
 	var out []SignatureROC
-	for _, s := range env.Model9.Signatures {
+	for si, s := range env.Model9.Signatures {
 		scores := make([]float64, len(reqs))
 		for i := range reqs {
-			scores[i] = s.Probability(vectors[i])
+			scores[i] = probs[i][si]
 		}
 		pts, err := ml.ROC(scores, labels)
 		if err != nil {
@@ -113,9 +113,9 @@ type CumulativeTPR struct {
 // individual detection rate, with each one's marginal contribution.
 func Figure4(env *Env) []CumulativeTPR {
 	attacks := env.AttackTestSet()
-	vectors := make([][]float64, len(attacks))
+	probs := make([][]float64, len(attacks))
 	for i, r := range attacks {
-		vectors[i] = env.Model9.Vector(r)
+		probs[i] = env.Model9.Probabilities(r)
 	}
 
 	type sigHits struct {
@@ -124,11 +124,11 @@ func Figure4(env *Env) []CumulativeTPR {
 		tpr  float64
 	}
 	var sigs []sigHits
-	for _, s := range env.Model9.Signatures {
+	for si, s := range env.Model9.Signatures {
 		h := sigHits{id: s.ID, hits: make([]bool, len(attacks))}
 		var n int
 		for i := range attacks {
-			if s.Probability(vectors[i]) >= s.Threshold {
+			if probs[i][si] >= s.Threshold {
 				h.hits[i] = true
 				n++
 			}

@@ -261,36 +261,6 @@ func (e *Extractor) ReleaseScratch(sc *Scratch) { e.scratch.Put(sc) }
 // Set returns the feature set the extractor was built from.
 func (e *Extractor) Set() Set { return e.set }
 
-// Vector extracts the count vector of one (normalized) sample. It
-// allocates a fresh full-width vector per call; on matching hot paths
-// prefer VectorInto with a caller-owned buffer, or SparseVector, which
-// allocates only O(nonzeros).
-func (e *Extractor) Vector(sample string) []float64 {
-	return e.VectorInto(sample, make([]float64, len(e.set.Features)))
-}
-
-// VectorInto extracts the count vector of one (normalized) sample into v,
-// which must have length Set().Len(); previous contents are overwritten.
-// It returns v. Reusing one buffer across calls keeps the matching hot
-// path allocation-free; the buffer must not be retained across calls that
-// reuse it.
-func (e *Extractor) VectorInto(sample string, v []float64) []float64 {
-	if len(v) != len(e.set.Features) {
-		panic(fmt.Sprintf("feature: vector buffer has %d slots, want %d", len(v), len(e.set.Features)))
-	}
-	for i := range v {
-		v[i] = 0
-	}
-	sc := e.AcquireScratch()
-	sc.sample = append(sc.sample[:0], sample...)
-	cols, vals := e.SparseInto(sc.sample, sc)
-	for k, j := range cols {
-		v[j] = vals[k]
-	}
-	e.ReleaseScratch(sc)
-	return v
-}
-
 // SparseVector extracts only the nonzero feature counts of one
 // (normalized) sample, returning ascending column indices and their
 // counts. The per-call cost and allocation are proportional to the number

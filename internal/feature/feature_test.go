@@ -18,6 +18,17 @@ func newCatalogExtractor(t *testing.T) *Extractor {
 	return e
 }
 
+// countVector scatters SparseVector into a full-width count vector, so
+// tests can look counts up by column.
+func countVector(e *Extractor, sample string) []float64 {
+	v := make([]float64, e.Set().Len())
+	cols, vals := e.SparseVector(sample)
+	for k, j := range cols {
+		v[j] = vals[k]
+	}
+	return v
+}
+
 func TestCatalogCensus(t *testing.T) {
 	// The paper starts from 477 candidate features (§I, §II-B) across the
 	// three Table II sources.
@@ -60,7 +71,7 @@ func TestVectorCountsWords(t *testing.T) {
 	for j, f := range set.Features {
 		col[f.Name] = j
 	}
-	v := e.Vector("id=1 union select password from users where user_id=1 or 1=1")
+	v := countVector(e, "id=1 union select password from users where user_id=1 or 1=1")
 	if v[col["union"]] != 1 {
 		t.Fatalf("union count=%v, want 1", v[col["union"]])
 	}
@@ -83,7 +94,7 @@ func TestVectorWordBoundaries(t *testing.T) {
 		col[f.Name] = j
 	}
 	// "union" embedded in a larger token must not count.
-	v := e.Vector("name=reunionparty&status=selected")
+	v := countVector(e, "name=reunionparty&status=selected")
 	if v[col["union"]] != 0 {
 		t.Fatalf("embedded 'union' counted: %v", v[col["union"]])
 	}
@@ -98,7 +109,7 @@ func TestVectorCountsRegexMatches(t *testing.T) {
 	for j, f := range e.Set().Features {
 		col[f.Name] = j
 	}
-	v := e.Vector("a='x' or 'y'='y' -- comment")
+	v := countVector(e, "a='x' or 'y'='y' -- comment")
 	if v[col[`'`]] < 4 {
 		t.Fatalf("quote count=%v, want >=4", v[col[`'`]])
 	}
@@ -106,7 +117,7 @@ func TestVectorCountsRegexMatches(t *testing.T) {
 		t.Fatalf("comment count=%v", v[col[`--`]])
 	}
 	// Case-insensitive matching on raw (non-normalized) text.
-	v = e.Vector("1 UNION SELECT 2")
+	v = countVector(e, "1 UNION SELECT 2")
 	if v[col[`union\s+select`]] != 1 {
 		t.Fatalf("case-insensitive union select=%v", v[col[`union\s+select`]])
 	}
@@ -120,7 +131,7 @@ func TestVectorPaperExample(t *testing.T) {
 		col[f.Name] = j
 	}
 	sample := normalize.Normalize("?id=-1+union+select+1,2,3,4,concat(database(),char(58),user(),char(58),version()),6,7")
-	v := e.Vector(sample)
+	v := countVector(e, sample)
 	if got := v[col["char"]]; got != 2 {
 		t.Fatalf("char word count=%v, want 2", got)
 	}
@@ -281,7 +292,7 @@ func TestAttackVsBenignSeparation(t *testing.T) {
 		}
 		return n
 	}
-	na, nb := nz(e.Vector(attack)), nz(e.Vector(benign))
+	na, nb := nz(countVector(e, attack)), nz(countVector(e, benign))
 	if na <= nb {
 		t.Fatalf("attack lights %d features, benign %d — attack must dominate", na, nb)
 	}
@@ -290,7 +301,7 @@ func TestAttackVsBenignSeparation(t *testing.T) {
 func TestVectorDeterministic(t *testing.T) {
 	e := newCatalogExtractor(t)
 	s := "id=1' or '1'='1"
-	a, b := e.Vector(s), e.Vector(s)
+	a, b := countVector(e, s), countVector(e, s)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("Vector must be deterministic")
@@ -326,7 +337,7 @@ func TestCatalogPatternsMatchSomething(t *testing.T) {
 	}
 	hit := make(map[int]bool)
 	for _, p := range payloads {
-		v := e.Vector(strings.ToLower(p))
+		v := countVector(e, strings.ToLower(p))
 		for j, x := range v {
 			if x != 0 {
 				hit[j] = true

@@ -2,14 +2,13 @@ package feature
 
 import (
 	"testing"
-	"testing/quick"
 
 	"psigene/internal/matrix"
 	"psigene/internal/normalize"
 )
 
 // parityPayloads mixes attack-shaped and benign-shaped samples so the
-// sparse/dense extraction parity is exercised on realistic nonzero patterns.
+// extraction parity tests run on realistic nonzero patterns.
 var parityPayloads = []string{
 	"",
 	"id=1",
@@ -20,44 +19,8 @@ var parityPayloads = []string{
 	normalize.Normalize("s=1;drop table users;--"),
 }
 
-// TestSparseVectorMatchesVector checks that SparseVector returns exactly the
-// nonzero cells of Vector, in ascending column order, for fixed payloads and
-// for arbitrary strings.
-func TestSparseVectorMatchesVector(t *testing.T) {
-	ex, err := NewExtractor(Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	check := func(sample string) bool {
-		dense := ex.Vector(sample)
-		cols, vals := ex.SparseVector(sample)
-		if len(cols) != len(vals) {
-			return false
-		}
-		k := 0
-		for j, v := range dense {
-			if v == 0 {
-				continue
-			}
-			if k >= len(cols) || cols[k] != j || vals[k] != v {
-				return false
-			}
-			k++
-		}
-		return k == len(cols)
-	}
-	for _, p := range parityPayloads {
-		if !check(p) {
-			t.Errorf("sparse/dense mismatch on %q", p)
-		}
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSparseMatrixMatchesMatrix checks the CSR training matrix cell for
-// cell against a dense reference built from VectorInto rows.
+// cell against a dense reference built from SparseVector rows.
 func TestSparseMatrixMatchesMatrix(t *testing.T) {
 	ex, err := NewExtractor(Catalog())
 	if err != nil {
@@ -65,7 +28,10 @@ func TestSparseMatrixMatchesMatrix(t *testing.T) {
 	}
 	dm := matrix.MustNew(len(parityPayloads), ex.Set().Len())
 	for i, p := range parityPayloads {
-		ex.VectorInto(p, dm.Row(i))
+		cols, vals := ex.SparseVector(p)
+		for k, j := range cols {
+			dm.Row(i)[j] = vals[k]
+		}
 	}
 	sm, err := ex.SparseMatrix(parityPayloads)
 	if err != nil {
@@ -78,28 +44,6 @@ func TestSparseMatrixMatchesMatrix(t *testing.T) {
 		for j := 0; j < dm.Cols(); j++ {
 			if dm.At(i, j) != sm.At(i, j) {
 				t.Fatalf("cell (%d,%d): dense %v, sparse %v", i, j, dm.At(i, j), sm.At(i, j))
-			}
-		}
-	}
-}
-
-// TestVectorIntoReuse checks that a reused buffer produces the same vector
-// as a fresh allocation, including clearing stale state.
-func TestVectorIntoReuse(t *testing.T) {
-	ex, err := NewExtractor(Catalog())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]float64, ex.Set().Len())
-	for i := range buf {
-		buf[i] = 42 // stale garbage that VectorInto must clear
-	}
-	for _, p := range parityPayloads {
-		want := ex.Vector(p)
-		got := ex.VectorInto(p, buf)
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("VectorInto(%q)[%d] = %v, want %v", p, j, got[j], want[j])
 			}
 		}
 	}

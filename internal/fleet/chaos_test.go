@@ -133,10 +133,10 @@ func TestMain(m *testing.M) {
 // comment), model identity tagged so X-Psigene-Gen carries version+hash.
 func chaosGatewayOptions(man core.Manifest) gateway.Options {
 	return gateway.Options{
-		UpstreamTimeout: 150 * time.Millisecond,
-		DisableBreaker:  true,
-		ModelVersion:    man.Version,
-		ModelSHA256:     man.ModelSHA256,
+		UpstreamTimeout:  150 * time.Millisecond,
+		BreakerThreshold: -1,
+		ModelVersion:     man.Version,
+		ModelSHA256:      man.ModelSHA256,
 	}
 }
 

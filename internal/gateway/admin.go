@@ -433,12 +433,10 @@ func (g *Gateway) Snapshot() Snapshot {
 		runtime.ReadMemStats(&ms)
 		s.AllocsPerRequest = float64(ms.Mallocs-g.baseMallocs) / float64(s.Scored)
 	}
-	if g.breaker != nil {
-		g.mu.Lock()
-		snap := g.breaker.Snapshot()
-		g.mu.Unlock()
-		s.Breaker = &snap
-	}
+	g.mu.Lock()
+	snap := g.breaker.Snapshot()
+	g.mu.Unlock()
+	s.Breaker = &snap
 	if rep, ok := g.CanaryReport(); ok {
 		s.Canary = &rep
 	}

@@ -243,7 +243,7 @@ func TestChaosOverloadBurst(t *testing.T) {
 	srv := httptest.NewServer(in.Wrap(webapp.New(10)))
 	defer srv.Close()
 	g := mustGateway(t, srv.URL, snortEngine(t), Options{
-		MaxInFlight: 2, UpstreamTimeout: 150 * time.Millisecond, DisableBreaker: true,
+		MaxInFlight: 2, UpstreamTimeout: 150 * time.Millisecond, BreakerThreshold: -1,
 	})
 
 	const burst = 16

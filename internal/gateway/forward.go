@@ -125,29 +125,20 @@ func (g *Gateway) upstreamFailed(w http.ResponseWriter, err error) {
 }
 
 // breakerAllow, breakerSuccess, breakerFailure wrap the single-threaded
-// resilience.Breaker in the gateway mutex. A nil breaker allows all.
+// resilience.Breaker in the gateway mutex.
 func (g *Gateway) breakerAllow() bool {
-	if g.breaker == nil {
-		return true
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.breaker.Allow()
 }
 
 func (g *Gateway) breakerSuccess() {
-	if g.breaker == nil {
-		return
-	}
 	g.mu.Lock()
 	g.breaker.Success()
 	g.mu.Unlock()
 }
 
 func (g *Gateway) breakerFailure() {
-	if g.breaker == nil {
-		return
-	}
 	g.mu.Lock()
 	g.breaker.Failure()
 	g.mu.Unlock()

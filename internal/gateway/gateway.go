@@ -102,13 +102,10 @@ type Options struct {
 	// Policy is the scoring-failure policy. Default FailOpen.
 	Policy Policy
 	// BreakerThreshold and BreakerCooldown configure the upstream circuit
-	// breaker (see resilience.NewBreaker). Threshold 0 disables the
-	// breaker; the default is 5 consecutive transport failures with a
-	// cooldown of 8 denied requests.
+	// breaker (see resilience.NewBreaker). The default is 5 consecutive
+	// transport failures with a cooldown of 8 denied requests; a negative
+	// threshold disables the breaker.
 	BreakerThreshold, BreakerCooldown int
-	// DisableBreaker turns the upstream breaker off (BreakerThreshold 0
-	// means "default", so disabling needs its own switch).
-	DisableBreaker bool
 	// Client supplies the upstream transport: only Client.Transport is
 	// used. The gateway relays responses, so the client's redirect
 	// following, cookie jar and timeout play no part; per-request
@@ -157,7 +154,7 @@ func (o *Options) fill() {
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = 1
 	}
-	if o.BreakerThreshold <= 0 {
+	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 5
 	}
 	if o.BreakerCooldown <= 0 {
@@ -274,6 +271,7 @@ func New(upstream string, det ids.Detector, opts Options) (*Gateway, error) {
 		opts:     opts,
 		upstream: u,
 		sem:      make(chan struct{}, opts.MaxInFlight),
+		breaker:  resilience.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 	}
 	if opts.Client != nil {
 		g.transport = opts.Client.Transport
@@ -284,9 +282,6 @@ func New(upstream string, det ids.Detector, opts Options) (*Gateway, error) {
 		t.MaxIdleConnsPerHost = opts.MaxInFlight
 		t.MaxConnsPerHost = opts.MaxInFlight
 		g.transport = t
-	}
-	if !opts.DisableBreaker {
-		g.breaker = resilience.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
 	}
 	//lint:ignore atomicguard construction-time install: there is no serving detector yet to protect, and the chaos suites rely on New accepting always-panicking detectors to prove containment; every subsequent swap probes via SwapTagged/StartCanary
 	g.state.Store(newState(det, g.gen.Add(1), opts.ModelVersion, opts.ModelSHA256))

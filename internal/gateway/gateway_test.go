@@ -226,7 +226,7 @@ func TestResponseCap(t *testing.T) {
 		_, _ = w.Write(make([]byte, 100))
 	}))
 	defer up.Close()
-	g := mustGateway(t, up.URL, stubDetector{}, Options{MaxResponseBytes: 64, DisableBreaker: true})
+	g := mustGateway(t, up.URL, stubDetector{}, Options{MaxResponseBytes: 64, BreakerThreshold: -1})
 	if w := get(g, "/big"); w.Code != http.StatusBadGateway {
 		t.Fatalf("oversized response: status %d, want 502", w.Code)
 	}
