@@ -19,10 +19,11 @@ import (
 func main() {
 	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 1).Requests(1500)
 	benign := traffic.NewGenerator(2).Requests(4000)
-	model, err := core.Train(attacks, benign, core.Config{})
+	tr, err := core.NewTrainer(attacks, benign, core.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	model := tr.Model()
 
 	// A stream of fresh attacks from a scanner the model has not seen.
 	fresh := attackgen.NewGenerator(attackgen.SQLMapProfile(), 50).Requests(1000)
@@ -38,9 +39,10 @@ func main() {
 	// Feed batches of the fresh samples back in, as an operator deploying
 	// pSigene would do on a schedule.
 	for i, batch := range [][2]int{{0, 200}, {200, 400}} {
-		if err := model.Update(fresh[batch[0]:batch[1]]); err != nil {
+		if tr, err = tr.Update(fresh[batch[0]:batch[1]]); err != nil {
 			log.Fatal(err)
 		}
+		model = tr.Model()
 		evalNow(fmt.Sprintf("after batch %d (+200 samples)", i+1))
 	}
 }

@@ -30,8 +30,6 @@ type Automaton struct {
 	// out lists, per state, the indices of the patterns that end at the
 	// state (including every fail-chain suffix).
 	out [][]int32
-	// n is the number of compiled patterns.
-	n int
 }
 
 // foldByte lowercases ASCII letters; other bytes pass through.
@@ -104,14 +102,8 @@ func New(patterns []string) (*Automaton, error) {
 			}
 		}
 	}
-	return &Automaton{next: trans, out: out, n: len(patterns)}, nil
+	return &Automaton{next: trans, out: out}, nil
 }
-
-// NumPatterns returns the number of compiled patterns.
-func (a *Automaton) NumPatterns() int { return a.n }
-
-// NumStates returns the automaton's state count (diagnostics only).
-func (a *Automaton) NumStates() int { return len(a.out) }
 
 // Scan folds b and calls hit with the pattern index of every occurrence
 // of every pattern, in left-to-right end-position order; a pattern
@@ -140,8 +132,8 @@ func (a *Automaton) Scan(b []byte, hit func(pattern int32)) {
 
 // Fold returns the folded view of s that Scan matches literals against:
 // ASCII letters lowercased, ſ U+017F replaced by 's' and K U+212A by
-// 'k'. Tests use it to state the scanner's guarantee as a plain
-// strings.Contains over the folded sample.
+// 'k'. Tests (TestPrefilterSoundnessOnProbeCorpus) use it to state the
+// scanner's guarantee as a plain strings.Contains over the folded sample.
 func Fold(s string) string {
 	b := make([]byte, 0, len(s))
 	for i := 0; i < len(s); i++ {

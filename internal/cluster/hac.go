@@ -217,6 +217,7 @@ func Agglomerate(d *matrix.Condensed, weights []float64, linkage Linkage) (*Dend
 // distances over the rows of m (dense or CSR) and clusters them. The
 // distance fill runs on every core; because the parallel kernel is
 // bit-identical to the serial one, so is the dendrogram.
+// Test oracle only: TestUPGMARowsParallelParity compares worker counts against it.
 func UPGMARows(m matrix.RowMatrix, weights []float64) (*Dendrogram, error) {
 	return UPGMARowsParallel(m, weights, 0)
 }
@@ -285,43 +286,6 @@ func (d *Dendrogram) leavesUnder(root *node) []int {
 		walk(n.right)
 	}
 	walk(root)
-	return out
-}
-
-// CutHeight cuts the dendrogram at height h and returns the resulting
-// clusters as slices of leaf indices. Merges with Height <= h are kept.
-func (d *Dendrogram) CutHeight(h float64) [][]int {
-	parentOf := make(map[int]int, 2*d.NLeaves)
-	for k, m := range d.Merges {
-		if m.Height <= h {
-			id := d.NLeaves + k
-			parentOf[m.A] = id
-			parentOf[m.B] = id
-		}
-	}
-	find := func(x int) int {
-		for {
-			p, ok := parentOf[x]
-			if !ok {
-				return x
-			}
-			x = p
-		}
-	}
-	groups := make(map[int][]int)
-	for i := 0; i < d.NLeaves; i++ {
-		r := find(i)
-		groups[r] = append(groups[r], i)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	out := make([][]int, 0, len(groups))
-	for _, r := range roots {
-		out = append(out, groups[r])
-	}
 	return out
 }
 

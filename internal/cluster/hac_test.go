@@ -184,17 +184,6 @@ func TestLeafOrderIsPermutation(t *testing.T) {
 	}
 }
 
-func TestCutHeightExtremes(t *testing.T) {
-	m := twoBlobs(t)
-	d, _ := UPGMARows(m, nil)
-	if got := len(d.CutHeight(-1)); got != 6 {
-		t.Fatalf("cut below all merges: %d clusters, want 6", got)
-	}
-	if got := len(d.CutHeight(math.Inf(1))); got != 1 {
-		t.Fatalf("cut above all merges: %d clusters, want 1", got)
-	}
-}
-
 func TestCutKErrors(t *testing.T) {
 	m := twoBlobs(t)
 	d, _ := UPGMARows(m, nil)

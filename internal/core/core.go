@@ -183,7 +183,9 @@ func (s *Signature) buildIndex() {
 	})
 }
 
-// Model is a trained pSigene signature set.
+// Model is a trained pSigene signature set. It holds no training state
+// (that lives on Trainer), so Trainer.Update builds a new Model instead of
+// changing one that may be serving.
 type Model struct {
 	// Features is the observed (pruned) feature set — the paper's 159.
 	Features feature.Set
@@ -197,14 +199,6 @@ type Model struct {
 
 	extractor *feature.Extractor
 	binary    bool
-
-	// Retained training state for incremental updates (Experiment 2).
-	cfg           Config
-	trainObserved matrix.RowMatrix
-	trainWeights  []float64
-	benignMat     matrix.RowMatrix
-	benignW       []float64
-	extra         map[int][]extraSample // bicluster ID -> appended samples
 }
 
 // extraSample is one incrementally added attack sample: its sparse
@@ -246,6 +240,16 @@ var (
 
 // Train runs the full pipeline on labeled training traffic.
 func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
+	t, err := NewTrainer(attacks, benign, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return t.Model(), nil
+}
+
+// NewTrainer runs the full pipeline on labeled training traffic and keeps
+// the training state incremental updates re-learn from.
+func NewTrainer(attacks, benign []httpx.Request, cfg Config) (*Trainer, error) {
 	cfg = cfg.withDefaults()
 	if len(attacks) == 0 {
 		return nil, ErrNoAttacks
@@ -356,14 +360,8 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 			OneFraction:           oneFrac,
 			CopheneticCorrelation: bic.CopheneticCorrelation,
 		},
-		extractor:     obsEx,
-		binary:        cfg.BinaryFeatures,
-		cfg:           cfg,
-		trainObserved: observed,
-		trainWeights:  weights,
-		benignMat:     benignMat,
-		benignW:       benignW,
-		extra:         make(map[int][]extraSample),
+		extractor: obsEx,
+		binary:    cfg.BinaryFeatures,
 	}
 
 	sigs, err := trainSignatures(observed, weights, benignMat, benignW, bic.ActiveBiclusters(), nil, cfg)
@@ -374,7 +372,14 @@ func Train(attacks, benign []httpx.Request, cfg Config) (*Model, error) {
 	if len(m.Signatures) == 0 {
 		return nil, errors.New("core: biclustering produced no active clusters")
 	}
-	return m, nil
+	return &Trainer{
+		model:     m,
+		cfg:       cfg,
+		observed:  observed,
+		weights:   weights,
+		benignMat: benignMat,
+		benignW:   benignW,
+	}, nil
 }
 
 // trainSignature fits the bicluster's logistic model: bicluster samples
@@ -518,8 +523,9 @@ type scoreScratch struct {
 }
 
 // scorePool holds scoreScratch values. It is package-level rather than a
-// Model field so that Model stays shallow-copyable (WithSignatures) and
-// models restored by LoadArtifact share the same warm pool.
+// Model field so that Model stays shallow-copyable (WithSignatures,
+// Trainer.Update) and models restored by LoadArtifact share the same warm
+// pool.
 var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
 // Inspect implements ids.Detector: alert when any signature's probability
@@ -591,8 +597,8 @@ func (s *Session) Close() {
 }
 
 // SetPrefilter toggles the extractor's literal prefilter. Verdicts and
-// scores are bit-identical either way; the parity tests flip this on a
-// trained model and compare.
+// scores are bit-identical either way; it is the switch the parity tests
+// (TestPrefilterServeParity) flip on a trained model to compare.
 func (m *Model) SetPrefilter(enabled bool) { m.extractor.SetPrefilter(enabled) }
 
 // PrefilterEnabled reports whether the literal prefilter is active.

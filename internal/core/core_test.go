@@ -223,28 +223,27 @@ func TestInspectImplementsDetector(t *testing.T) {
 }
 
 func TestUpdateIncremental(t *testing.T) {
-	// Train a dedicated small model so mutation does not pollute the cache.
 	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 21).Requests(500)
 	benign := traffic.NewGenerator(22).Requests(600)
-	m, err := Train(attacks, benign, Config{})
+	tr, err := NewTrainer(attacks, benign, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	test := attackgen.NewGenerator(attackgen.SQLMapProfile(), 23).Requests(400)
-	before := ids.Evaluate(m, test)
+	before := ids.Evaluate(tr.Model(), test)
 
 	// Feed 40% of the test set back in, as Experiment 2 does.
-	if err := m.Update(test[:160]); err != nil {
+	if tr, err = tr.Update(test[:160]); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	after := ids.Evaluate(m, test)
+	after := ids.Evaluate(tr.Model(), test)
 	if after.TPR()+0.02 < before.TPR() {
 		t.Fatalf("incremental training reduced TPR: %.3f -> %.3f", before.TPR(), after.TPR())
 	}
 
 	// Updating with nothing is a no-op.
-	if err := m.Update(nil); err != nil {
-		t.Fatal(err)
+	if next, err := tr.Update(nil); err != nil || next != tr {
+		t.Fatalf("empty Update = %p, %v; want the receiver %p, nil", next, err, tr)
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 )
 
 // trainSignatures fits one logistic signature per given bicluster over
-// cfg.Parallelism workers. Train passes every active bicluster and no
-// extra rows; Update passes the biclusters that received samples and
-// the model's extra rows keyed by bicluster ID. Each bicluster's problem
-// is independent — trainSignature only reads the shared matrices — and
-// every result lands in its bicluster's preassigned slot, so signature
-// order and every trained coefficient are identical at any worker count.
+// cfg.Parallelism workers. NewTrainer passes every active bicluster and
+// no extra rows; Trainer.Update passes the biclusters that received
+// samples and the Trainer's extra rows keyed by bicluster ID. Each
+// bicluster's problem is independent — trainSignature only reads the
+// shared matrices — and every result lands in its bicluster's preassigned
+// slot, so signature order and every trained coefficient are identical at
+// any worker count.
 // Errors are reported for the lowest bicluster index that failed.
 func trainSignatures(observed matrix.RowMatrix, weights []float64, benignMat matrix.RowMatrix, benignW []float64, bics []cluster.Bicluster, extra map[int][]extraSample, cfg Config) ([]*Signature, error) {
 	workers := matrix.ResolveWorkers(cfg.Parallelism, len(bics))

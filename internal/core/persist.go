@@ -11,8 +11,7 @@ import (
 
 // modelJSON is the serialized form of a trained signature set. Only what
 // the runtime engine needs is persisted: the observed feature set and the
-// signatures. Training state (for incremental updates) is not serialized;
-// a loaded model detects but cannot Update.
+// signatures. Training state lives on Trainer and is not serialized.
 type modelJSON struct {
 	Version    int             `json:"version"`
 	Features   []featureJSON   `json:"features"`
@@ -65,9 +64,7 @@ func (m *Model) encode(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// decode reads a model written by encode. The result detects (Inspect,
-// Probabilities) but does not retain training state, so Update returns an
-// error.
+// decode reads a model written by encode.
 func decode(r io.Reader) (*Model, error) {
 	var in modelJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {

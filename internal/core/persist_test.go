@@ -44,22 +44,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadedModelCannotUpdate(t *testing.T) {
-	m := smallModel(t)
-	var buf bytes.Buffer
-	if err := m.encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	attacks := attackgen.NewGenerator(attackgen.SQLMapProfile(), 79).Requests(10)
-	if err := loaded.Update(attacks); err == nil {
-		t.Fatal("loaded model must refuse Update (no training state)")
-	}
-}
-
 func TestLoadErrors(t *testing.T) {
 	cases := []string{
 		``,

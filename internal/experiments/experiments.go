@@ -67,6 +67,9 @@ type Env struct {
 	Arachni         []httpx.Request // Arachni + Vega merged
 	BenignTest      []httpx.Request
 
+	// Trainer holds the training state behind Model9; Experiment2
+	// updates from it.
+	Trainer *core.Trainer
 	// Model9 is the full signature set ("9 signatures"); Model7 drops the
 	// last two heat-map-ordered signatures ("7 signatures").
 	Model9, Model7 *core.Model
@@ -88,10 +91,12 @@ func Setup(s Scale) (*Env, error) {
 		attackgen.NewGenerator(attackgen.VegaProfile(), s.Seed+4).Requests(s.VegaTests)...)
 	env.BenignTest = traffic.NewGenerator(s.Seed + 5).Requests(s.BenignTests)
 
-	model, err := core.Train(env.TrainAttackReqs, env.TrainBenignReqs, core.Config{})
+	tr, err := core.NewTrainer(env.TrainAttackReqs, env.TrainBenignReqs, core.Config{})
 	if err != nil {
 		return nil, fmt.Errorf("train pSigene: %w", err)
 	}
+	env.Trainer = tr
+	model := tr.Model()
 	env.Model9 = model
 
 	if n := len(model.Signatures); n > 2 {

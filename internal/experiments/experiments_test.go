@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -227,6 +228,11 @@ func TestFigure4(t *testing.T) {
 
 func TestExperiment2Incremental(t *testing.T) {
 	env := testEnv(t)
+	probes := env.SQLMap[:20]
+	before := make([][]float64, len(probes))
+	for i, r := range probes {
+		before[i] = env.Model9.Probabilities(r)
+	}
 	rows, err := Experiment2(env)
 	if err != nil {
 		t.Fatalf("Experiment2: %v", err)
@@ -236,6 +242,21 @@ func TestExperiment2Incremental(t *testing.T) {
 	}
 	if rows[2].TPR+0.02 < rows[0].TPR {
 		t.Fatalf("incremental learning reduced TPR: %.3f -> %.3f", rows[0].TPR, rows[2].TPR)
+	}
+
+	// The experiment updates through new models only: a second run on
+	// the same env gives the same rows, and Model9 is left as it was.
+	again, err := Experiment2(env)
+	if err != nil {
+		t.Fatalf("second Experiment2: %v", err)
+	}
+	if !reflect.DeepEqual(rows, again) {
+		t.Fatalf("Experiment2 is not repeatable:\nfirst  %+v\nsecond %+v", rows, again)
+	}
+	for i, r := range probes {
+		if after := env.Model9.Probabilities(r); !reflect.DeepEqual(before[i], after) {
+			t.Fatalf("Model9 changed on %q: %v -> %v", r.Payload(), before[i], after)
+		}
 	}
 }
 

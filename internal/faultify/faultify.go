@@ -22,7 +22,6 @@ package faultify
 import (
 	"bytes"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 
@@ -190,28 +189,6 @@ func (in *Injector) Plan(key string) Class {
 		}
 	}
 	return None
-}
-
-// Schedule maps each key to its assigned class — the replayable fault
-// schedule for a known URL set, for golden tests and debugging.
-func (in *Injector) Schedule(keys []string) map[string]Class {
-	out := make(map[string]Class, len(keys))
-	for _, k := range keys {
-		out[k] = in.Plan(k)
-	}
-	return out
-}
-
-// AfflictedKeys filters keys down to those assigned any fault, sorted.
-func (in *Injector) AfflictedKeys(keys []string) []string {
-	var out []string
-	for _, k := range keys {
-		if in.Plan(k) != None {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot returns current stats.

@@ -327,6 +327,7 @@ func (f *Front) Kill(i int) error {
 // Revive clears a Kill. The replica does not rejoin instantly: its breaker
 // is still open from the failures that ejected it, so it re-earns traffic
 // through the normal cooldown → readmission-probe path.
+// Kept for TestEjectionAndReadmission until the fleet package is deleted (ROADMAP D1).
 func (f *Front) Revive(i int) error {
 	if i < 0 || i >= len(f.replicas) {
 		return fmt.Errorf("fleet: no replica %d", i)

@@ -79,6 +79,7 @@ func ParseURL(raw string) (Request, error) {
 // broken escapes), so a target with spaces is recovered by treating only
 // a trailing HTTP/x token as the version and keeping the rest as target.
 // Only an empty line or a line with no target is rejected.
+// Kept for bench's TestWireRoundTrip and FuzzParseRequestLine.
 func ParseRequestLine(line string) (Request, error) {
 	line = strings.TrimSpace(line)
 	if line == "" {

@@ -126,9 +126,6 @@ func NewRuleEngine(rs ruleset.Ruleset, opts Options) (*RuleEngine, error) {
 // Name implements Detector.
 func (e *RuleEngine) Name() string { return e.name }
 
-// RuleCount returns the number of loaded (matchable) rules.
-func (e *RuleEngine) RuleCount() int { return len(e.rules) }
-
 // Inspect implements Detector. Rules see both the raw and the normalized
 // (decoded, lowercased) view of their target buffer, mirroring IDS
 // preprocessor behaviour.

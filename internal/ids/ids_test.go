@@ -81,12 +81,12 @@ func TestAnomalyScoreAccumulates(t *testing.T) {
 func TestIncludeDisabled(t *testing.T) {
 	rs := ruleset.EmergingThreats()
 	def := mustEngine(t, rs, Options{})
-	if def.RuleCount() != 0 {
-		t.Fatalf("ET default engine loaded %d rules, want 0 (all disabled)", def.RuleCount())
+	if len(def.rules) != 0 {
+		t.Fatalf("ET default engine loaded %d rules, want 0 (all disabled)", len(def.rules))
 	}
 	all := mustEngine(t, rs, Options{IncludeDisabled: true})
-	if all.RuleCount() != 4231 {
-		t.Fatalf("ET with disabled loaded %d rules, want 4231", all.RuleCount())
+	if len(all.rules) != 4231 {
+		t.Fatalf("ET with disabled loaded %d rules, want 4231", len(all.rules))
 	}
 }
 

@@ -123,16 +123,17 @@ type RunnerConfig struct {
 	Canary CanaryOptions
 	// Tamper, when set, may replace the candidate model just before it
 	// is saved — the chaos tests' fault hook for injecting a bad
-	// candidate (returning nil keeps the real one). The master training
-	// state is never the candidate object handed out, so a doctored
-	// candidate cannot poison later rounds.
+	// candidate (returning nil keeps the real one). The candidate is the
+	// master Trainer's own Model and shares its untouched *Signatures
+	// with later rounds' candidates, so a hook must return a doctored
+	// clone, never edit the candidate in place.
 	Tamper func(round int, candidate *core.Model) *core.Model
 }
 
 // Runner drives the continuous lifecycle over a Store, an optional
-// serving gateway, and a sample Source. It owns the "master" model — the
-// one object that retains training state across rounds; every served or
-// gated model is a loaded artifact copy, never the master itself.
+// serving gateway, and a sample Source. It owns the "master" Trainer —
+// the one object that retains training state across rounds; every served
+// or gated model is a loaded artifact copy, never the master's own Model.
 //
 // Rejected rounds keep their samples absorbed in the master (they were
 // real observations; rejection judged the resulting model, not the data)
@@ -142,9 +143,8 @@ type Runner struct {
 	source Source
 	cfg    RunnerConfig
 
-	gw      *gateway.Gateway
-	master  *core.Model
-	coreCfg core.Config
+	gw     *gateway.Gateway
+	master *core.Trainer
 
 	// seen dedupes normalized payloads across rounds; corpus is the
 	// cumulative normalized training corpus in first-seen order, whose
@@ -168,19 +168,18 @@ func (r *Runner) Bootstrap(attacks, benign []httpx.Request, coreCfg core.Config)
 	} else if cur != "" {
 		return core.Manifest{}, fmt.Errorf("lifecycle: store already has a current model (%s)", cur)
 	}
-	m, err := core.Train(attacks, benign, coreCfg)
+	t, err := core.NewTrainer(attacks, benign, coreCfg)
 	if err != nil {
 		return core.Manifest{}, fmt.Errorf("lifecycle: bootstrap train: %w", err)
 	}
-	r.master = m
-	r.coreCfg = coreCfg
+	r.master = t
 	r.absorb(attacks)
 
 	version, err := r.store.NextVersion()
 	if err != nil {
 		return core.Manifest{}, err
 	}
-	man, err := r.store.SaveCandidate(m, core.Manifest{
+	man, err := r.store.SaveCandidate(t.Model(), core.Manifest{
 		Version:           version,
 		CorpusFingerprint: core.FingerprintStrings(r.corpus),
 	})
@@ -266,10 +265,12 @@ func (r *Runner) Round(replay func() error) (*Decision, error) {
 		return d, r.store.appendDecision(d)
 	}
 
-	if err := r.master.Update(fresh); err != nil {
+	next, err := r.master.Update(fresh)
+	if err != nil {
 		return nil, fmt.Errorf("lifecycle: retrain: %w", err)
 	}
-	candidate := r.master
+	r.master = next
+	candidate := next.Model()
 	if r.cfg.Tamper != nil {
 		if t := r.cfg.Tamper(r.round, candidate); t != nil {
 			candidate = t

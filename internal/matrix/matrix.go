@@ -47,6 +47,7 @@ func MustNew(rows, cols int) *Dense {
 
 // NewFromRows builds a matrix from a slice of equal-length rows. The data is
 // copied, so the caller keeps ownership of rows.
+// Test fixture only: TestNewFromRows and the matrix, ml and cluster tests build inputs with it.
 func NewFromRows(rows [][]float64) (*Dense, error) {
 	if len(rows) == 0 {
 		return &Dense{}, nil
@@ -93,14 +94,6 @@ func (m *Dense) Row(i int) []float64 {
 		panic(fmt.Sprintf("matrix: row %d out of range %d", i, m.rows))
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
-}
-
-// RowCopy returns a copy of row i.
-func (m *Dense) RowCopy(i int) []float64 {
-	r := m.Row(i)
-	out := make([]float64, len(r))
-	copy(out, r)
-	return out
 }
 
 // RowNonZeros implements RowMatrix by copying out row i's nonzero cells in
@@ -241,6 +234,7 @@ var ErrDimensionMismatch = errors.New("matrix: dimension mismatch")
 
 // Euclidean returns the Euclidean (L2) distance between two equal-length
 // vectors.
+// Test oracle only: TestEuclideanMetricProperties checks the kernels against it.
 func Euclidean(a, b []float64) (float64, error) {
 	if len(a) != len(b) {
 		return 0, ErrDimensionMismatch

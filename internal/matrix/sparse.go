@@ -23,40 +23,8 @@ type Sparse struct {
 
 var _ RowMatrix = (*Sparse)(nil)
 
-// NewSparse builds a CSR matrix from raw components, validating the
-// invariants (monotone row pointers, ascending in-range columns, no stored
-// zeros). The slices are adopted, not copied.
-func NewSparse(rows, cols int, rowPtr, colIdx []int, vals []float64) (*Sparse, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("matrix: invalid dimensions %dx%d", rows, cols)
-	}
-	if len(rowPtr) != rows+1 {
-		return nil, fmt.Errorf("matrix: rowPtr has %d entries, want %d", len(rowPtr), rows+1)
-	}
-	if rowPtr[0] != 0 || rowPtr[rows] != len(colIdx) || len(colIdx) != len(vals) {
-		return nil, fmt.Errorf("matrix: inconsistent CSR lengths (rowPtr ends %d, %d cols, %d vals)",
-			rowPtr[rows], len(colIdx), len(vals))
-	}
-	for i := 0; i < rows; i++ {
-		if rowPtr[i+1] < rowPtr[i] {
-			return nil, fmt.Errorf("matrix: rowPtr decreases at row %d", i)
-		}
-		prev := -1
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			j := colIdx[k]
-			if j <= prev || j >= cols {
-				return nil, fmt.Errorf("matrix: row %d column %d out of order or range", i, j)
-			}
-			if vals[k] == 0 {
-				return nil, fmt.Errorf("matrix: row %d stores an explicit zero at column %d", i, j)
-			}
-			prev = j
-		}
-	}
-	return &Sparse{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
-}
-
 // NewSparseFromDense compresses a Dense matrix into CSR form.
+// Test oracle only: TestParityRowNonZeros compares the two backings through it.
 func NewSparseFromDense(d *Dense) *Sparse {
 	b := NewSparseBuilder(d.Cols())
 	for i := 0; i < d.Rows(); i++ {

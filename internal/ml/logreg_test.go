@@ -138,7 +138,7 @@ func TestWeightedEqualsRepeated(t *testing.T) {
 	var expY []float64
 	for i := 0; i < 3; i++ {
 		for k := 0; k < int(w[i]); k++ {
-			expRows = append(expRows, x.RowCopy(i))
+			expRows = append(expRows, append([]float64(nil), x.Row(i)...))
 			expY = append(expY, y[i])
 		}
 	}

@@ -49,24 +49,6 @@ func (c Confusion) Precision() float64 {
 	return float64(c.TP) / float64(c.TP+c.FP)
 }
 
-// Accuracy is (TP+TN) / total.
-func (c Confusion) Accuracy() float64 {
-	tot := c.TP + c.FP + c.TN + c.FN
-	if tot == 0 {
-		return 0
-	}
-	return float64(c.TP+c.TN) / float64(tot)
-}
-
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.TPR()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
 // String renders the counts and headline rates.
 func (c Confusion) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d TPR=%.4f FPR=%.6f", c.TP, c.FP, c.TN, c.FN, c.TPR(), c.FPR())

@@ -33,7 +33,7 @@ func Normalize(s string) string {
 
 // NormalizeReference is the composed string-transformation pipeline the
 // package documentation describes, kept as the oracle the Buffer path is
-// parity-tested against.
+// parity-tested against (TestBufferMatchesReference).
 func NormalizeReference(s string) string {
 	prev := s
 	for i := 0; i < maxDecodePasses; i++ {

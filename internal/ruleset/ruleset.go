@@ -121,6 +121,7 @@ func (rs Ruleset) Stats() Stats {
 }
 
 // Validate compiles every regex rule, returning the first error.
+// Kept for TestAllRulesetsValidate, which checks the shipped rule data.
 func (rs Ruleset) Validate() error {
 	for _, r := range rs.Rules {
 		if r.Pattern == "" {
@@ -133,15 +134,4 @@ func (rs Ruleset) Validate() error {
 		}
 	}
 	return nil
-}
-
-// EnabledRules returns only the rules enabled by default.
-func (rs Ruleset) EnabledRules() []Rule {
-	out := make([]Rule, 0, len(rs.Rules))
-	for _, r := range rs.Rules {
-		if r.Enabled {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -112,20 +112,6 @@ func TestSnortETMerge(t *testing.T) {
 	}
 }
 
-func TestEnabledRules(t *testing.T) {
-	s := Snort()
-	en := s.EnabledRules()
-	for _, r := range en {
-		if !r.Enabled {
-			t.Fatal("EnabledRules returned a disabled rule")
-		}
-	}
-	want := int(math.Round(s.Stats().EnabledFraction * float64(len(s.Rules))))
-	if len(en) != want {
-		t.Fatalf("enabled count %d vs stats %d", len(en), want)
-	}
-}
-
 func TestValidateRejectsBadRules(t *testing.T) {
 	bad := Ruleset{Name: "x", Rules: []Rule{{ID: "1", Kind: MatchRegex, Pattern: "("}}}
 	if err := bad.Validate(); err == nil {
