@@ -44,16 +44,18 @@ race: race-parallel
 	$(GO) test -race -timeout 45m ./...
 
 # Fast race pass over just the parallel kernels and their parity tests —
-# the worker pools, disjoint-slot writes, ownership partitioning, and the
-# prefiltered serving path (shared extractor + atomic gate toggling under
-# concurrent sessions) — plus the gateway and lifecycle chaos suites,
+# the worker pools, disjoint-slot writes, ownership partitioning, the
+# prefiltered serving path (one extractor shared by concurrent sessions),
+# and Models sharing signatures and extractor while operating points are
+# derived from them under live serving (TestModelsAreValues) — plus the
+# gateway and lifecycle chaos suites,
 # whose reload storms and canary swaps exercise exactly the pool/atomic/
 # lock invariants the static analyzers prove. The analyzer fixture
 # modules under cmd/psigenelint/testdata carry deliberate races by
 # design; `go test ./...` never builds testdata directories, so they are
 # excluded from this pass by construction.
 race-parallel:
-	$(GO) test -race -timeout 20m -run 'Parallel|Prefilter|Session|Update' ./internal/...
+	$(GO) test -race -timeout 20m -run 'Parallel|Prefilter|Session|Update|Values' ./internal/...
 	$(GO) test -race -timeout 20m -count=1 ./internal/gateway/ ./internal/resilience/ ./internal/admission/ ./internal/fleet/
 	$(GO) test -race -timeout 20m -count=1 -run 'Chaos|Reload|Lifecycle|Canary' ./internal/gateway/ ./internal/lifecycle/
 

@@ -254,7 +254,11 @@ func run(args []string, w io.Writer) (retErr error) {
 			} else {
 				tbl.AddRow("linkage ablation", "error: "+err.Error(), "")
 			}
-			for _, r := range experiments.ThresholdSweep(env, []float64{0.1, 0.3, 0.5, 0.7, 0.9}) {
+			sweep, err := experiments.ThresholdSweep(env, []float64{0.1, 0.3, 0.5, 0.7, 0.9})
+			if err != nil {
+				return err
+			}
+			for _, r := range sweep {
 				tbl.AddRow(r.Variant, report.Pct(r.TPR, 2), report.Pct(r.FPR, 4))
 			}
 			tbl.Render(w)

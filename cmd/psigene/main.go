@@ -384,7 +384,11 @@ func runTune(args []string, w io.Writer) error {
 	for i, s := range model.Signatures {
 		fmt.Fprintf(w, "signature %d: threshold %.6f\n", s.ID, thresholds[i])
 	}
-	if _, err := model.SaveArtifact(*out, core.Manifest{Version: filepath.Base(*out), Parent: man.Version}); err != nil {
+	tuned, err := model.WithThresholds(thresholds)
+	if err != nil {
+		return err
+	}
+	if _, err := tuned.SaveArtifact(*out, core.Manifest{Version: filepath.Base(*out), Parent: man.Version}); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "tuned model written to %s\n", *out)

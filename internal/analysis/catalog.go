@@ -323,14 +323,15 @@ func classHasBothCases(class string) bool {
 func CheckSignatures(m *core.Model, origin string) []Diagnostic {
 	var out []Diagnostic
 	pos := token.Position{Filename: origin}
-	for _, s := range m.Signatures {
+	thresholds := m.Thresholds()
+	for i, s := range m.Signatures {
 		switch {
 		case s.Model == nil || len(s.Features) == 0:
 			out = append(out, Diagnostic{Check: CheckDeadSig, Pos: pos, Message: fmt.Sprintf(
 				"signature %d has no features left after pruning: it can never discriminate", s.ID)})
 		case allZero(s.Model.Weights):
 			verdict := "never fires"
-			if constantProbability(s) >= s.Threshold {
+			if constantProbability(s) >= thresholds[i] {
 				verdict = "fires on every request"
 			}
 			out = append(out, Diagnostic{Check: CheckDeadSig, Pos: pos, Message: fmt.Sprintf(

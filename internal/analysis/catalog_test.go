@@ -162,15 +162,18 @@ func TestRedundantCaseClass(t *testing.T) {
 }
 
 func TestCheckSignatures(t *testing.T) {
-	m := &core.Model{Signatures: []*core.Signature{
-		{ID: 1, Features: []int{0, 1}, Threshold: 0.5,
+	m, err := (&core.Model{Signatures: []*core.Signature{
+		{ID: 1, Features: []int{0, 1},
 			Model: &ml.LogisticModel{Bias: 0.1, Weights: []float64{1, -2}}},
-		{ID: 2, Features: []int{0}, Threshold: 0.5,
+		{ID: 2, Features: []int{0},
 			Model: &ml.LogisticModel{Bias: -3, Weights: []float64{0}}}, // dead, never fires
-		{ID: 3, Features: []int{0}, Threshold: 0.5,
+		{ID: 3, Features: []int{0},
 			Model: &ml.LogisticModel{Bias: 3, Weights: []float64{0}}}, // dead, always fires
 		{ID: 4, Features: nil, Model: nil}, // dead, nothing left after pruning
-	}}
+	}}).WithThresholds([]float64{0.5, 0.5, 0.5, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ds := CheckSignatures(m, "model.json")
 	if len(ds) != 3 {
 		t.Fatalf("%d findings, want 3 dead signatures\n%v", len(ds), ds)

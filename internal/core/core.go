@@ -120,8 +120,6 @@ type Signature struct {
 	Features []int
 	// Model is the trained logistic regression over Features.
 	Model *ml.LogisticModel
-	// Threshold is the alert probability cutoff.
-	Threshold float64
 
 	// The sparse-scoring index: a dense observed-column → weight table
 	// (with a presence mask, so columns outside Features contribute
@@ -183,9 +181,9 @@ func (s *Signature) buildIndex() {
 	})
 }
 
-// Model is a trained pSigene signature set. It holds no training state
-// (that lives on Trainer), so Trainer.Update builds a new Model instead of
-// changing one that may be serving.
+// Model is a trained pSigene signature set, an immutable value: WithSignatures,
+// WithThresholds and Trainer.Update derive new Models that share its
+// *Signatures and extractor. Training state lives on Trainer.
 type Model struct {
 	// Features is the observed (pruned) feature set — the paper's 159.
 	Features feature.Set
@@ -197,8 +195,9 @@ type Model struct {
 	// Stats captures training-corpus statistics.
 	Stats TrainStats
 
-	extractor *feature.Extractor
-	binary    bool
+	thresholds []float64 // per-signature alert cutoffs, never written once built
+	extractor  *feature.Extractor
+	binary     bool
 }
 
 // extraSample is one incrementally added attack sample: its sparse
@@ -372,6 +371,10 @@ func NewTrainer(attacks, benign []httpx.Request, cfg Config) (*Trainer, error) {
 	if len(m.Signatures) == 0 {
 		return nil, errors.New("core: biclustering produced no active clusters")
 	}
+	m.thresholds = make([]float64, len(sigs))
+	for i := range m.thresholds {
+		m.thresholds[i] = cfg.Threshold
+	}
 	return &Trainer{
 		model:     m,
 		cfg:       cfg,
@@ -470,7 +473,6 @@ func trainSignature(observed matrix.RowMatrix, weights []float64, benignMat matr
 		BiclusterFeatures: len(feats),
 		Features:          kept,
 		Model:             model,
-		Threshold:         cfg.Threshold,
 	}, nil
 }
 
@@ -523,9 +525,8 @@ type scoreScratch struct {
 }
 
 // scorePool holds scoreScratch values. It is package-level rather than a
-// Model field so that Model stays shallow-copyable (WithSignatures,
-// Trainer.Update) and models restored by LoadArtifact share the same warm
-// pool.
+// Model field so that every Model — derived copies and models restored by
+// LoadArtifact alike — shares the same warm pool.
 var scorePool = sync.Pool{New: func() any { return new(scoreScratch) }}
 
 // Inspect implements ids.Detector: alert when any signature's probability
@@ -554,8 +555,8 @@ func (m *Model) inspect(req httpx.Request, ss *scoreScratch, fs *feature.Scratch
 		}
 	}
 	var v ids.Verdict
-	for _, s := range m.Signatures {
-		if p := s.ProbabilitySparse(cols, vals); p >= s.Threshold {
+	for i, s := range m.Signatures {
+		if p := s.ProbabilitySparse(cols, vals); p >= m.thresholds[i] {
 			v.Alert = true
 			v.Score++
 			v.Matched = append(v.Matched, s.Label())
@@ -596,30 +597,23 @@ func (s *Session) Close() {
 	s.ss, s.fs = nil, nil
 }
 
-// SetPrefilter toggles the extractor's literal prefilter. Verdicts and
-// scores are bit-identical either way; it is the switch the parity tests
-// (TestPrefilterServeParity) flip on a trained model to compare.
-func (m *Model) SetPrefilter(enabled bool) { m.extractor.SetPrefilter(enabled) }
-
-// PrefilterEnabled reports whether the literal prefilter is active.
-func (m *Model) PrefilterEnabled() bool { return m.extractor.PrefilterEnabled() }
-
 // PrefilterStats returns the extractor's cumulative prefilter counters —
 // how many regex evaluations the staged fast path skipped.
 func (m *Model) PrefilterStats() feature.PrefilterStats { return m.extractor.PrefilterStats() }
 
-// WithSignatures returns a shallow copy of the model restricted to the
-// given signature IDs — how the paper evaluates the 7- vs 9-signature sets.
+// WithSignatures returns the model restricted to the given signature IDs and
+// their thresholds — how the paper evaluates the 7- vs 9-signature sets.
 func (m *Model) WithSignatures(idSet []int) (*Model, error) {
 	want := make(map[int]bool, len(idSet))
 	for _, id := range idSet {
 		want[id] = true
 	}
 	out := *m
-	out.Signatures = nil
-	for _, s := range m.Signatures {
+	out.Signatures, out.thresholds = nil, nil
+	for i, s := range m.Signatures {
 		if want[s.ID] {
 			out.Signatures = append(out.Signatures, s)
+			out.thresholds = append(out.thresholds, m.thresholds[i])
 			delete(want, s.ID)
 		}
 	}
@@ -637,13 +631,21 @@ func (m *Model) WithSignatures(idSet []int) (*Model, error) {
 	return &out, nil
 }
 
-// SetThreshold overrides the decision threshold on every signature (used
-// for ROC sweeps).
-func (m *Model) SetThreshold(t float64) {
-	for _, s := range m.Signatures {
-		s.Threshold = t
+// WithThresholds returns a copy of the model alerting at the given
+// per-signature thresholds (Signatures order): a new operating point, as
+// TuneThresholds picks or a ROC sweep visits.
+func (m *Model) WithThresholds(ts []float64) (*Model, error) {
+	if len(ts) != len(m.Signatures) {
+		return nil, fmt.Errorf("core: %d thresholds for %d signatures", len(ts), len(m.Signatures))
 	}
+	out := *m
+	out.thresholds = append([]float64(nil), ts...)
+	return &out, nil
 }
+
+// Thresholds returns a copy of the per-signature alert thresholds, in
+// Signatures order.
+func (m *Model) Thresholds() []float64 { return append([]float64(nil), m.thresholds...) }
 
 // SignatureFeatures returns the post-pruning feature definitions of one
 // signature (Table III for signature 6).

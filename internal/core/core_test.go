@@ -150,6 +150,22 @@ func TestWithSignatures(t *testing.T) {
 	if len(m.Signatures) == 2 {
 		t.Fatal("WithSignatures must not mutate the original")
 	}
+	// Thresholds follow their signatures into the subset.
+	ts := make([]float64, len(m.Signatures))
+	for i := range ts {
+		ts[i] = float64(i+1) / 100
+	}
+	tuned, err := m.WithThresholds(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err = tuned.WithSignatures([]int{m.Signatures[1].ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sub.Thresholds(); len(got) != 1 || got[0] != ts[1] {
+		t.Fatalf("subset thresholds %v, want [%v]", got, ts[1])
+	}
 	if _, err := m.WithSignatures([]int{9999}); err == nil {
 		t.Fatal("unknown id: want error")
 	}
@@ -175,17 +191,51 @@ func TestFewerSignaturesNeverIncreaseDetection(t *testing.T) {
 	}
 }
 
-func TestSetThreshold(t *testing.T) {
+// uniformThresholds returns m at threshold t on every signature.
+func uniformThresholds(t *testing.T, m *Model, th float64) *Model {
+	t.Helper()
+	ts := make([]float64, len(m.Signatures))
+	for i := range ts {
+		ts[i] = th
+	}
+	out, err := m.WithThresholds(ts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestWithThresholds(t *testing.T) {
 	m := smallModel(t)
 	attacks := attackgen.NewGenerator(attackgen.SQLMapProfile(), 9).Requests(150)
-	defer m.SetThreshold(0.5)
 
-	m.SetThreshold(0.0001)
-	low := ids.Evaluate(m, attacks)
-	m.SetThreshold(0.9999)
-	high := ids.Evaluate(m, attacks)
+	low := ids.Evaluate(uniformThresholds(t, m, 0.0001), attacks)
+	high := ids.Evaluate(uniformThresholds(t, m, 0.9999), attacks)
 	if low.TP < high.TP {
 		t.Fatalf("lower threshold must not detect less: %d vs %d", low.TP, high.TP)
+	}
+	for _, th := range uniformThresholds(t, m, 0.25).Thresholds() {
+		if th != 0.25 {
+			t.Fatalf("WithThresholds(0.25...) reports threshold %v", th)
+		}
+	}
+	// The receiver keeps its own operating point, and Thresholds hands out
+	// a copy.
+	got := m.Thresholds()
+	for _, th := range got {
+		if th != 0.5 {
+			t.Fatalf("source model threshold %v after WithThresholds, want 0.5", th)
+		}
+	}
+	got[0] = 7
+	if m.Thresholds()[0] != 0.5 {
+		t.Fatal("writing the Thresholds result changed the model")
+	}
+	// One threshold per signature, no more and no fewer.
+	for _, n := range []int{0, len(m.Signatures) - 1, len(m.Signatures) + 1} {
+		if _, err := m.WithThresholds(make([]float64, n)); err == nil {
+			t.Fatalf("%d thresholds for %d signatures: want error", n, len(m.Signatures))
+		}
 	}
 }
 

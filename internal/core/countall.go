@@ -38,10 +38,10 @@ var _ ids.Detector = (*CountAllDetector)(nil)
 // implementation treats every feature as a regular expression.
 func NewCountAllDetector(m *Model) (*CountAllDetector, error) {
 	d := &CountAllDetector{model: m}
-	for _, s := range m.Signatures {
+	for i, s := range m.Signatures {
 		cs := countAllSignature{
 			id:        s.ID,
-			threshold: s.Threshold,
+			threshold: m.thresholds[i],
 			bias:      s.Model.Bias,
 			weights:   append([]float64(nil), s.Model.Weights...),
 		}

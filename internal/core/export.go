@@ -69,13 +69,13 @@ event http_request(c: connection, method: string, original_URI: string,
 	{
 	local uri = to_lower(unescaped_URI);
 `)
-	for _, s := range m.Signatures {
+	for si, s := range m.Signatures {
 		fmt.Fprintf(&b, "\tlocal z%d = sig%d_bias", s.ID, s.ID)
 		for i := range s.Features {
 			fmt.Fprintf(&b, "\n\t\t+ %.6f * count_all(sig%d_f%d, uri)", s.Model.Weights[i], s.ID, i)
 		}
 		b.WriteString(";\n")
-		fmt.Fprintf(&b, "\tif ( sigmoid(z%d) >= %.4f )\n", s.ID, s.Threshold)
+		fmt.Fprintf(&b, "\tif ( sigmoid(z%d) >= %.4f )\n", s.ID, m.thresholds[si])
 		fmt.Fprintf(&b, "\t\tNOTICE([$note=SQL_Injection_Attack, $conn=c,\n\t\t        $msg=fmt(\"pSigene signature %d (p=%%.4f)\", sigmoid(z%d)), $uid=c$uid]);\n\n", s.ID, s.ID)
 	}
 	b.WriteString("\t}\n")

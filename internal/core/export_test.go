@@ -22,7 +22,8 @@ func TestExportBro(t *testing.T) {
 		}
 	}
 	// Every signature appears with its bias and feature patterns.
-	for _, s := range m.Signatures {
+	thresholds := m.Thresholds()
+	for si, s := range m.Signatures {
 		if !strings.Contains(script, fmt.Sprintf("sig%d_bias", s.ID)) {
 			t.Fatalf("signature %d bias missing", s.ID)
 		}
@@ -31,7 +32,7 @@ func TestExportBro(t *testing.T) {
 				t.Fatalf("signature %d feature %d missing", s.ID, i)
 			}
 		}
-		if !strings.Contains(script, fmt.Sprintf(">= %.4f", s.Threshold)) {
+		if !strings.Contains(script, fmt.Sprintf(">= %.4f", thresholds[si])) {
 			t.Fatalf("signature %d threshold missing", s.ID)
 		}
 	}

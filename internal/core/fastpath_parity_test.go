@@ -42,14 +42,16 @@ func TestPrefilterTrainParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gated.PrefilterEnabled() {
-		t.Fatal("a new extractor does not have the prefilter enabled")
+	if gated.PrefilterStats().Gated == 0 {
+		t.Fatal("the catalog extractor gates no pattern")
 	}
-	plain, err := feature.NewExtractor(feature.Catalog())
+	plain, err := feature.NewUngatedExtractor(feature.Catalog())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.SetPrefilter(false)
+	if plain.PrefilterStats().Gated != 0 {
+		t.Fatal("the ungated extractor gates patterns")
+	}
 
 	want, err := plain.SparseMatrixParallel(uniq, 0)
 	if err != nil {
@@ -64,22 +66,33 @@ func TestPrefilterTrainParity(t *testing.T) {
 	}
 }
 
-// TestPrefilterServeParity flips the prefilter on one trained model and
-// pins every serving product — sparse vectors, probabilities, verdicts —
-// to be bit-identical with it on and off.
+// ungatedCopy returns m serving through the ungated reference extractor:
+// the same signatures and thresholds, every regex run on every request.
+func ungatedCopy(t *testing.T, m *Model) *Model {
+	t.Helper()
+	ex, err := feature.NewUngatedExtractor(m.Features)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := *m
+	ref.extractor = ex
+	return &ref
+}
+
+// TestPrefilterServeParity pins every serving product of a trained model
+// — sparse vectors, probabilities, verdicts — to be bit-identical with
+// the same model served through the ungated reference extractor.
 func TestPrefilterServeParity(t *testing.T) {
 	m := smallModel(t)
-	defer m.SetPrefilter(true)
+	ref := ungatedCopy(t, m)
 	for _, req := range fastpathProbes() {
-		m.SetPrefilter(true)
 		onCols, onVals := m.SparseVector(req)
 		onProbs := m.Probabilities(req)
 		onVerdict := m.Inspect(req)
 
-		m.SetPrefilter(false)
-		offCols, offVals := m.SparseVector(req)
-		offProbs := m.Probabilities(req)
-		offVerdict := m.Inspect(req)
+		offCols, offVals := ref.SparseVector(req)
+		offProbs := ref.Probabilities(req)
+		offVerdict := ref.Inspect(req)
 
 		if !reflect.DeepEqual(onCols, offCols) || !reflect.DeepEqual(onVals, offVals) {
 			t.Fatalf("sparse vectors differ on %q:\non  %v %v\noff %v %v",
@@ -94,21 +107,17 @@ func TestPrefilterServeParity(t *testing.T) {
 	}
 }
 
-// TestPrefilterServeParityQuick drives the on/off verdict parity over
+// TestPrefilterServeParityQuick drives the gated/ungated verdict parity over
 // random byte strings — the same adversarial idiom the normalize and CSR
 // parity suites use. Random bytes stress the unicode folding edges of the
 // literal scanner (ſ, Kelvin sign, invalid UTF-8) far harder than
 // generated traffic does.
 func TestPrefilterServeParityQuick(t *testing.T) {
 	m := smallModel(t)
-	defer m.SetPrefilter(true)
+	ref := ungatedCopy(t, m)
 	f := func(raw []byte, body []byte) bool {
 		req := httpx.Request{RawQuery: string(raw), Body: string(body)}
-		m.SetPrefilter(true)
-		on := m.Inspect(req)
-		m.SetPrefilter(false)
-		off := m.Inspect(req)
-		return reflect.DeepEqual(on, off)
+		return reflect.DeepEqual(m.Inspect(req), ref.Inspect(req))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func (m *Model) encode(w io.Writer) error {
 			Name: f.Name, Source: int(f.Source), Word: f.Word, Pattern: f.Pattern,
 		})
 	}
-	for _, s := range m.Signatures {
+	for i, s := range m.Signatures {
 		out.Signatures = append(out.Signatures, signatureJSON{
 			ID:                s.ID,
 			SampleWeight:      s.SampleWeight,
@@ -56,7 +56,7 @@ func (m *Model) encode(w io.Writer) error {
 			Features:          s.Features,
 			Bias:              s.Model.Bias,
 			Weights:           s.Model.Weights,
-			Threshold:         s.Threshold,
+			Threshold:         m.thresholds[i],
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -106,8 +106,8 @@ func decode(r io.Reader) (*Model, error) {
 			BiclusterFeatures: s.BiclusterFeatures,
 			Features:          s.Features,
 			Model:             &ml.LogisticModel{Bias: s.Bias, Weights: s.Weights},
-			Threshold:         s.Threshold,
 		})
+		m.thresholds = append(m.thresholds, s.Threshold)
 	}
 	if len(m.Signatures) == 0 {
 		return nil, fmt.Errorf("core: model has no signatures")

@@ -38,8 +38,8 @@ func (t *Trainer) Model() *Model { return t.model }
 // Config.Parallelism with bit-identical results at every worker count.
 //
 // Update returns a new Trainer and leaves t and t.Model() untouched: the
-// new Model shares the unchanged *Signatures and holds fresh retrained
-// ones. An empty batch returns t itself.
+// new Model keeps t.Model()'s thresholds, shares its unchanged *Signatures
+// and holds fresh retrained ones. An empty batch returns t itself.
 func (t *Trainer) Update(fresh []httpx.Request) (*Trainer, error) {
 	if len(fresh) == 0 {
 		return t, nil
@@ -97,7 +97,6 @@ func (t *Trainer) Update(fresh []httpx.Request) (*Trainer, error) {
 	next := *m
 	next.Signatures = append([]*Signature(nil), m.Signatures...)
 	for k, i := range idx {
-		retrained[k].Threshold = m.Signatures[i].Threshold // preserve any ROC tuning
 		next.Signatures[i] = retrained[k]
 	}
 	next.Stats.AttackSamples += len(fresh)

@@ -18,8 +18,8 @@ import (
 // meet the budget at any threshold are effectively disabled (threshold
 // above every benign score and every attack score they produce).
 //
-// The chosen thresholds are applied to the model and returned in signature
-// order.
+// The chosen thresholds are returned in signature order; the model is left
+// as it was, and m.WithThresholds builds the tuned model.
 func (m *Model) TuneThresholds(validation []httpx.Request, targetFPR float64) ([]float64, error) {
 	if targetFPR < 0 || targetFPR >= 1 {
 		return nil, fmt.Errorf("core: target FPR %v out of range [0, 1)", targetFPR)
@@ -45,7 +45,7 @@ func (m *Model) TuneThresholds(validation []httpx.Request, targetFPR float64) ([
 
 	maxFP := int(targetFPR * float64(nBenign))
 	out := make([]float64, len(m.Signatures))
-	for si, s := range m.Signatures {
+	for si := range m.Signatures {
 		benignScores := make([]float64, len(benignProbs))
 		for i, probs := range benignProbs {
 			benignScores[i] = probs[si]
@@ -66,7 +66,6 @@ func (m *Model) TuneThresholds(validation []httpx.Request, targetFPR float64) ([
 		if threshold > 1 {
 			threshold = 1.0000001 // unreachable: signature disabled
 		}
-		s.Threshold = threshold
 		out[si] = threshold
 	}
 	return out, nil

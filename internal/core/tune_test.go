@@ -19,7 +19,6 @@ func tuningSets() (validation, testAttacks, testBenign []httpx.Request) {
 }
 
 func TestTuneThresholdsMeetsBudget(t *testing.T) {
-	// A dedicated model: tuning mutates thresholds.
 	attacks := attackgen.NewGenerator(attackgen.CrawlProfile(), 205).Requests(1000)
 	benign := traffic.NewGenerator(206).Requests(2500)
 	m, err := Train(attacks, benign, Config{})
@@ -36,19 +35,24 @@ func TestTuneThresholdsMeetsBudget(t *testing.T) {
 	if len(thresholds) != len(m.Signatures) {
 		t.Fatalf("got %d thresholds for %d signatures", len(thresholds), len(m.Signatures))
 	}
-	for i, s := range m.Signatures {
-		if s.Threshold != thresholds[i] {
-			t.Fatal("thresholds not applied to the model")
+	// Tuning only reports: the source model keeps its thresholds.
+	for i, th := range m.Thresholds() {
+		if th != 0.5 {
+			t.Fatalf("signature %d threshold %v after tuning, want the untouched 0.5", m.Signatures[i].ID, th)
 		}
+	}
+	tuned, err := m.WithThresholds(thresholds)
+	if err != nil {
+		t.Fatal(err)
 	}
 	// On held-out benign traffic the tuned model stays near the budget
 	// (leave generous slack: held-out differs from validation).
-	r := ids.Evaluate(m, testBenign)
+	r := ids.Evaluate(tuned, testBenign)
 	if r.FPR() > budget*float64(len(m.Signatures))*3 {
 		t.Fatalf("tuned FPR %.5f far above budget %.5f", r.FPR(), budget)
 	}
 	// And still detects.
-	ra := ids.Evaluate(m, testAttacks)
+	ra := ids.Evaluate(tuned, testAttacks)
 	if ra.TPR() < 0.5 {
 		t.Fatalf("tuned TPR %.3f collapsed", ra.TPR())
 	}
@@ -59,20 +63,22 @@ func TestTuneThresholdsLooseBudgetRaisesRecall(t *testing.T) {
 	benign := traffic.NewGenerator(208).Requests(2000)
 	validation, testAttacks, _ := tuningSets()
 
-	strict, err := Train(attacks, benign, Config{})
+	m, err := Train(attacks, benign, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := Train(attacks, benign, Config{})
-	if err != nil {
-		t.Fatal(err)
+	tuneAt := func(budget float64) *Model {
+		ts, err := m.TuneThresholds(validation, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuned, err := m.WithThresholds(ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tuned
 	}
-	if _, err := strict.TuneThresholds(validation, 0.0001); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := loose.TuneThresholds(validation, 0.01); err != nil {
-		t.Fatal(err)
-	}
+	strict, loose := tuneAt(0.0001), tuneAt(0.01)
 	rs := ids.Evaluate(strict, testAttacks)
 	rl := ids.Evaluate(loose, testAttacks)
 	if rl.TP < rs.TP {

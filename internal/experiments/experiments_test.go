@@ -322,7 +322,10 @@ func TestAblations(t *testing.T) {
 	if glob.TPR < 0 || glob.TPR > 1 {
 		t.Fatalf("global ablation TPR=%v", glob.TPR)
 	}
-	sweep := ThresholdSweep(env, []float64{0.2, 0.8})
+	sweep, err := ThresholdSweep(env, []float64{0.2, 0.8})
+	if err != nil {
+		t.Fatalf("ThresholdSweep: %v", err)
+	}
 	if len(sweep) != 2 {
 		t.Fatalf("sweep rows=%d", len(sweep))
 	}

@@ -124,11 +124,12 @@ func Figure4(env *Env) []CumulativeTPR {
 		tpr  float64
 	}
 	var sigs []sigHits
+	thresholds := env.Model9.Thresholds()
 	for si, s := range env.Model9.Signatures {
 		h := sigHits{id: s.ID, hits: make([]bool, len(attacks))}
 		var n int
 		for i := range attacks {
-			if probs[i][si] >= s.Threshold {
+			if probs[i][si] >= thresholds[si] {
 				h.hits[i] = true
 				n++
 			}
@@ -360,18 +361,24 @@ func AblationLinkage(env *Env) ([]AblationRow, error) {
 	return out, nil
 }
 
-// ThresholdSweep evaluates the 9-signature model across decision
-// thresholds (the knob behind Figure 3's per-signature curves).
-func ThresholdSweep(env *Env, thresholds []float64) []AblationRow {
-	defer env.Model9.SetThreshold(0.5)
+// ThresholdSweep evaluates Model9 with every signature at each threshold
+// in turn (the knob behind Figure 3's per-signature curves).
+func ThresholdSweep(env *Env, thresholds []float64) ([]AblationRow, error) {
 	var out []AblationRow
 	for _, t := range thresholds {
-		env.Model9.SetThreshold(t)
+		ts := make([]float64, len(env.Model9.Signatures))
+		for i := range ts {
+			ts[i] = t
+		}
+		m, err := env.Model9.WithThresholds(ts)
+		if err != nil {
+			return nil, err
+		}
 		out = append(out, AblationRow{
 			Variant: fmt.Sprintf("threshold=%.2f", t),
-			TPR:     ids.Evaluate(env.Model9, env.SQLMap).TPR(),
-			FPR:     ids.Evaluate(env.Model9, env.BenignTest).FPR(),
+			TPR:     ids.Evaluate(m, env.SQLMap).TPR(),
+			FPR:     ids.Evaluate(m, env.BenignTest).FPR(),
 		})
 	}
-	return out
+	return out, nil
 }

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 
 	"psigene/internal/matrix"
@@ -128,8 +127,7 @@ type Extractor struct {
 	set      Set
 	words    map[string][]int // token -> feature columns
 	patterns []compiledPattern
-	pre      *prefilter
-	preOff   atomic.Bool
+	pre      *prefilter // nil on an ungated extractor (NewUngatedExtractor)
 	stats    prefilterStats
 	scratch  sync.Pool // *Scratch, reused across extraction calls
 }
@@ -166,9 +164,16 @@ type compiledPattern struct {
 	lit []byte
 }
 
-// NewExtractor compiles a feature set. Duplicate names and invalid patterns
-// are rejected.
-func NewExtractor(set Set) (*Extractor, error) {
+// NewExtractor compiles a feature set with its literal pre-filter.
+// Duplicate names and invalid patterns are rejected.
+func NewExtractor(set Set) (*Extractor, error) { return newExtractor(set, true) }
+
+// NewUngatedExtractor compiles a feature set without the pre-filter, so
+// every regex runs on every sample: the bit-identical reference the parity
+// tests and the soundness fuzzer check the gate against. No serving caller.
+func NewUngatedExtractor(set Set) (*Extractor, error) { return newExtractor(set, false) }
+
+func newExtractor(set Set, gated bool) (*Extractor, error) {
 	e := &Extractor{set: set, words: make(map[string][]int)}
 	seen := make(map[string]bool, len(set.Features))
 	for j, f := range set.Features {
@@ -199,8 +204,10 @@ func NewExtractor(set Set) (*Extractor, error) {
 			return nil, fmt.Errorf("feature %q: neither Word nor Pattern set", f.Name)
 		}
 	}
-	if err := e.buildPrefilter(); err != nil {
-		return nil, err
+	if gated {
+		if err := e.buildPrefilter(); err != nil {
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -258,9 +265,6 @@ func (e *Extractor) AcquireScratch() *Scratch {
 // it by SparseInto become invalid.
 func (e *Extractor) ReleaseScratch(sc *Scratch) { e.scratch.Put(sc) }
 
-// Set returns the feature set the extractor was built from.
-func (e *Extractor) Set() Set { return e.set }
-
 // SparseVector extracts only the nonzero feature counts of one
 // (normalized) sample, returning ascending column indices and their
 // counts. The per-call cost and allocation are proportional to the number
@@ -308,9 +312,9 @@ func (e *Extractor) SparseInto(sample []byte, sc *Scratch) (cols []int, vals []f
 		i = j
 	}
 
-	// Regex patterns: all of them when the pre-filter is off, otherwise
-	// only those whose required literals occurred plus the always-run set.
-	if e.preOff.Load() || e.pre == nil {
+	// Regex patterns: all of them on an ungated extractor, otherwise only
+	// those whose required literals occurred plus the always-run set.
+	if e.pre == nil {
 		for pi := range e.patterns {
 			e.countPattern(pi, sample, sc)
 		}

@@ -21,7 +21,7 @@ func newCatalogExtractor(t *testing.T) *Extractor {
 // countVector scatters SparseVector into a full-width count vector, so
 // tests can look counts up by column.
 func countVector(e *Extractor, sample string) []float64 {
-	v := make([]float64, e.Set().Len())
+	v := make([]float64, e.set.Len())
 	cols, vals := e.SparseVector(sample)
 	for k, j := range cols {
 		v[j] = vals[k]
@@ -66,7 +66,7 @@ func TestSourceString(t *testing.T) {
 
 func TestVectorCountsWords(t *testing.T) {
 	e := newCatalogExtractor(t)
-	set := e.Set()
+	set := e.set
 	col := map[string]int{}
 	for j, f := range set.Features {
 		col[f.Name] = j
@@ -90,7 +90,7 @@ func TestVectorCountsWords(t *testing.T) {
 func TestVectorWordBoundaries(t *testing.T) {
 	e := newCatalogExtractor(t)
 	col := map[string]int{}
-	for j, f := range e.Set().Features {
+	for j, f := range e.set.Features {
 		col[f.Name] = j
 	}
 	// "union" embedded in a larger token must not count.
@@ -106,7 +106,7 @@ func TestVectorWordBoundaries(t *testing.T) {
 func TestVectorCountsRegexMatches(t *testing.T) {
 	e := newCatalogExtractor(t)
 	col := map[string]int{}
-	for j, f := range e.Set().Features {
+	for j, f := range e.set.Features {
 		col[f.Name] = j
 	}
 	v := countVector(e, "a='x' or 'y'='y' -- comment")
@@ -127,7 +127,7 @@ func TestVectorPaperExample(t *testing.T) {
 	// The §IV example: a sample with two char( occurrences.
 	e := newCatalogExtractor(t)
 	col := map[string]int{}
-	for j, f := range e.Set().Features {
+	for j, f := range e.set.Features {
 		col[f.Name] = j
 	}
 	sample := normalize.Normalize("?id=-1+union+select+1,2,3,4,concat(database(),char(58),user(),char(58),version()),6,7")
@@ -345,7 +345,7 @@ func TestCatalogPatternsMatchSomething(t *testing.T) {
 		}
 	}
 	var sigTotal, sigHit int
-	for j, f := range e.Set().Features {
+	for j, f := range e.set.Features {
 		if f.Source == SourceSignature || f.Source == SourceReference {
 			sigTotal++
 			if hit[j] {

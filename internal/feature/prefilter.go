@@ -298,14 +298,6 @@ func (e *Extractor) buildPrefilter() error {
 	return nil
 }
 
-// SetPrefilter enables or disables the literal pre-filter on this
-// extractor (enabled by default). Extraction output is bit-identical
-// either way; disabling exists for parity testing and benchmarking.
-func (e *Extractor) SetPrefilter(enabled bool) { e.preOff.Store(!enabled) }
-
-// PrefilterEnabled reports whether the pre-filter is active.
-func (e *Extractor) PrefilterEnabled() bool { return !e.preOff.Load() }
-
 // PrefilterStats snapshots the pre-filter counters and census.
 func (e *Extractor) PrefilterStats() PrefilterStats {
 	s := PrefilterStats{

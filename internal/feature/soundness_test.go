@@ -96,7 +96,7 @@ func TestPrefilterSoundnessOnProbeCorpus(t *testing.T) {
 }
 
 // FuzzPrefilterSoundness drives the end-to-end property on arbitrary
-// bytes: extraction with the gate on and off must agree exactly. The
+// bytes: gated and ungated extraction must agree exactly. The
 // seed corpus leans on the fold edge cases (ſ U+017F and the Kelvin
 // sign U+212A share (?i) orbits with s and k) and on invalid UTF-8.
 func FuzzPrefilterSoundness(f *testing.F) {
@@ -104,11 +104,10 @@ func FuzzPrefilterSoundness(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	plain, err := NewExtractor(Catalog())
+	plain, err := NewUngatedExtractor(Catalog())
 	if err != nil {
 		f.Fatal(err)
 	}
-	plain.SetPrefilter(false)
 
 	seeds := []string{
 		"",

@@ -26,7 +26,7 @@ func TestSparseMatrixMatchesMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dm := matrix.MustNew(len(parityPayloads), ex.Set().Len())
+	dm := matrix.MustNew(len(parityPayloads), ex.set.Len())
 	for i, p := range parityPayloads {
 		cols, vals := ex.SparseVector(p)
 		for k, j := range cols {

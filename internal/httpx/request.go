@@ -199,12 +199,6 @@ type Param struct {
 	Name, Value string
 }
 
-// Decoded returns the pair with name and value percent-decoded (lenient;
-// see DecodeComponent).
-func (p Param) Decoded() Param {
-	return Param{Name: DecodeComponent(p.Name), Value: DecodeComponent(p.Value)}
-}
-
 // ParseParams splits a raw query string into ordered name/value pairs
 // without decoding. Pairs are separated by '&' (or ';'); a pair without '='
 // yields an empty Value. Fields that carry nothing at all ("", "=") are

@@ -104,19 +104,6 @@ func TestDecodeComponent(t *testing.T) {
 	}
 }
 
-func TestParamDecoded(t *testing.T) {
-	p := Param{Name: "user%20name", Value: "1+or+%271%27%3D%271"}
-	d := p.Decoded()
-	if d.Name != "user name" || d.Value != "1 or '1'='1" {
-		t.Fatalf("Decoded = %+v", d)
-	}
-	// Malformed pairs decode to themselves, never fail.
-	p = Param{Name: "a%", Value: "%zz"}
-	if d := p.Decoded(); d.Name != "a%" || d.Value != "%zz" {
-		t.Fatalf("Decoded = %+v", d)
-	}
-}
-
 func TestParseParamsEmpty(t *testing.T) {
 	if got := ParseParams(""); got != nil {
 		t.Fatalf("ParseParams(\"\")=%v, want nil", got)

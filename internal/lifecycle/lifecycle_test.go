@@ -56,21 +56,18 @@ func sharedModel(t *testing.T) *core.Model {
 	return trainModel
 }
 
-// neuteredClone returns a detector-equivalent copy of m whose signature
-// thresholds are unreachable, so it never alerts — a structurally valid
-// but behaviorally broken candidate.
+// neuteredClone returns a copy of m whose signature thresholds are
+// unreachable, so it never alerts — a structurally valid but behaviorally
+// broken candidate. m itself is left as it was.
 func neuteredClone(t *testing.T, m *core.Model) *core.Model {
 	t.Helper()
-	dir := filepath.Join(t.TempDir(), "clone")
-	if _, err := m.SaveArtifact(dir, core.Manifest{Version: "clone"}); err != nil {
-		t.Fatalf("clone save: %v", err)
+	ts := make([]float64, len(m.Signatures))
+	for i := range ts {
+		ts[i] = 1.1
 	}
-	c, _, err := core.LoadArtifact(dir)
+	c, err := m.WithThresholds(ts)
 	if err != nil {
-		t.Fatalf("clone load: %v", err)
-	}
-	for _, s := range c.Signatures {
-		s.Threshold = 1.1
+		t.Fatalf("neuter: %v", err)
 	}
 	return c
 }

@@ -123,10 +123,10 @@ type RunnerConfig struct {
 	Canary CanaryOptions
 	// Tamper, when set, may replace the candidate model just before it
 	// is saved — the chaos tests' fault hook for injecting a bad
-	// candidate (returning nil keeps the real one). The candidate is the
-	// master Trainer's own Model and shares its untouched *Signatures
-	// with later rounds' candidates, so a hook must return a doctored
-	// clone, never edit the candidate in place.
+	// candidate (returning nil keeps the real one). A hook derives the
+	// bad model through the candidate's With* methods; the candidate's
+	// exported Signatures are shared with later rounds' candidates, so a
+	// hook must not write through them.
 	Tamper func(round int, candidate *core.Model) *core.Model
 }
 

@@ -41,14 +41,6 @@ func (c Confusion) FPR() float64 {
 	return float64(c.FP) / float64(c.FP+c.TN)
 }
 
-// Precision is TP / (TP+FP).
-func (c Confusion) Precision() float64 {
-	if c.TP+c.FP == 0 {
-		return 0
-	}
-	return float64(c.TP) / float64(c.TP+c.FP)
-}
-
 // String renders the counts and headline rates.
 func (c Confusion) String() string {
 	return fmt.Sprintf("TP=%d FP=%d TN=%d FN=%d TPR=%.4f FPR=%.6f", c.TP, c.FP, c.TN, c.FN, c.TPR(), c.FPR())

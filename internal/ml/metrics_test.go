@@ -28,9 +28,6 @@ func TestConfusionRates(t *testing.T) {
 	if got := c.FPR(); math.Abs(got-0.02) > 1e-12 {
 		t.Fatalf("FPR=%v, want 0.02", got)
 	}
-	if got := c.Precision(); math.Abs(got-0.75) > 1e-12 {
-		t.Fatalf("Precision=%v, want 0.75", got)
-	}
 	if c.String() == "" {
 		t.Fatal("String should render")
 	}
@@ -38,7 +35,7 @@ func TestConfusionRates(t *testing.T) {
 
 func TestConfusionZeroDenominators(t *testing.T) {
 	var c Confusion
-	if c.TPR() != 0 || c.FPR() != 0 || c.Precision() != 0 {
+	if c.TPR() != 0 || c.FPR() != 0 {
 		t.Fatal("empty confusion must report zero rates, not NaN")
 	}
 }
